@@ -122,6 +122,7 @@ def cmd_reconstruct(args) -> int:
         "reconstruction": {
             "converged": result.converged,
             "iterations": result.iterations,
+            "gap": result.gap,
             "log_likelihood": result.log_likelihood,
             "rho": dataio.density_matrix_to_json(result.rho),
         },

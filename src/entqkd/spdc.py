@@ -34,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import metrics
-from .states import bloch_projector, partial_trace, validate_density_matrix, werner_mix
+from .states import _partial_trace, bloch_projector, validate_density_matrix, werner_mix
 
 
 @dataclass(frozen=True)
@@ -80,14 +80,19 @@ def click_probabilities(rho0: np.ndarray, psi_i, psi_j,
     converted to the projector (I + x.sigma)/2, and the orthogonal
     projection uses the antipodal direction -x.
     """
-    rho0 = validate_density_matrix(rho0, name="rho0")
+    return _click_probabilities(validate_density_matrix(rho0, name="rho0"), psi_i, psi_j, params)
+
+
+def _click_probabilities(rho0: np.ndarray, psi_i, psi_j,
+                         params: SourceParams) -> ClickProbabilities:
+    """``click_probabilities`` for a ``rho0`` the caller has already validated."""
     ea, eb = params.eta_a, params.eta_b
     pi = bloch_projector(psi_i)
     pj = bloch_projector(psi_j)
     pi_perp = np.eye(2) - pi
     pj_perp = np.eye(2) - pj
-    rho_a = partial_trace(rho0, "A")
-    rho_b = partial_trace(rho0, "B")
+    rho_a = _partial_trace(rho0, "A")
+    rho_b = _partial_trace(rho0, "B")
 
     def joint(a, b):
         return np.trace(rho0 @ np.kron(a, b)).real

@@ -150,7 +150,11 @@ def werner_mix(rho_b: np.ndarray, kappa: float) -> np.ndarray:
 
 def partial_trace(rho: np.ndarray, keep: str) -> np.ndarray:
     """Reduced one-qubit state, tracing out Bob (keep="A") or Alice (keep="B")."""
-    rho = validate_density_matrix(rho)
+    return _partial_trace(validate_density_matrix(rho), keep)
+
+
+def _partial_trace(rho: np.ndarray, keep: str) -> np.ndarray:
+    """``partial_trace`` for a state the caller has already validated."""
     r4 = rho.reshape(2, 2, 2, 2)
     if keep == "A":
         return np.einsum("ikjk->ij", r4)
@@ -190,8 +194,9 @@ def correlation_analysis(rho: np.ndarray) -> CorrelationAnalysis:
     Returns
     -------
     CorrelationAnalysis
-        Eigenvalues sorted descending; they are clipped at zero from
-        below since U is positive semidefinite up to roundoff.
+        Eigenvalues sorted descending and clipped to [0, 1]: U is
+        positive semidefinite and, for a state, no eigenvalue exceeds 1,
+        so only roundoff lies outside.
     """
     rho = validate_density_matrix(rho)
     paulis = (_SIGMA_X, _SIGMA_Y, _SIGMA_Z)
@@ -202,7 +207,7 @@ def correlation_analysis(rho: np.ndarray) -> CorrelationAnalysis:
     matrix_u = tensor.T @ tensor
     vals, vecs = np.linalg.eigh(matrix_u)
     order = np.argsort(vals)[::-1]
-    vals = np.clip(vals[order], 0.0, None)
+    vals = np.clip(vals[order], 0.0, 1.0)
     vecs = vecs[:, order]
     for k in range(3):
         vecs[:, k] = _fix_sign(vecs[:, k])

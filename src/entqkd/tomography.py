@@ -11,11 +11,13 @@ within each quadruple, which is why the likelihood
 needs no per-group normalization of the input: rescaling all
 frequencies by a constant leaves the maximizer unchanged.
 
-Reconstruction uses the iterative fixed-point ascent rho -> R rho R
-with R = sum_k (c_k / C_k) Pi_k and trace renormalization.  If a full
-step ever lowers the likelihood it is replaced by a diluted step
-(I + eps R) rho (I + eps R) with eps halved until the likelihood does
-not decrease, so accepted iterates are monotone by construction.
+Reconstruction is accelerated projected gradient ascent: a step along
+R = sum_k (c_k / C_k) Pi_k (c normalized) from a point extrapolated
+with Nesterov momentum, projected back onto the density matrices, with
+a backtracked step length and a momentum restart whenever a step would
+lower the likelihood, so accepted iterates are monotone.  It stops on
+the certified gap lambda_max(R) - 1, which bounds the log-likelihood
+per count that any state could still add.
 
 Monte-Carlo uncertainty resamples every observed count as Poisson with
 the observed value as mean.  Per-sample generators are spawned from a
@@ -32,18 +34,17 @@ import numpy as np
 
 from . import metrics
 from .numeric import golden_section_max
-from .spdc import SourceParams, click_probabilities, coincidence_probability
+from .spdc import SourceParams, _click_probabilities, coincidence_probability
 from .states import (POLARIZATION_BLOCH, POLARIZATION_KETS, ket_to_dm,
                      validate_density_matrix)
-
-try:  # optional accelerator; the numpy path below is the reference
-    import numba
-except ImportError:
-    numba = None
 
 PROJECTION_LABELS = ("H", "V", "D", "A", "R", "L")
 
 _LL_FLOOR = 1e-300  # guards log of model probabilities that underflow to 0
+_STEP_START = 1.0
+_STEP_GROWTH = 1.2
+_MAX_HALVINGS = 60
+_EYE4 = np.eye(4)
 
 
 @dataclass(frozen=True)
@@ -74,11 +75,12 @@ class TomographySettings:
             bloch_a[k] = POLARIZATION_BLOCH[a]
             bloch_b[k] = POLARIZATION_BLOCH[b]
             groups[k] = axis[a] * 3 + axis[b]
-        projectors_flat = np.ascontiguousarray(projectors.reshape(36, 16))
-        for arr in (projectors, projectors_flat, bloch_a, bloch_b, groups):
+        # Tr[Pi_k M] = projectors_real[k] @ M.reshape(16).view(float) for Hermitian M
+        projectors_real = np.ascontiguousarray(projectors.reshape(36, 16)).view(np.float64)
+        for arr in (projectors, projectors_real, bloch_a, bloch_b, groups):
             arr.flags.writeable = False
         object.__setattr__(self, "projectors", projectors)
-        object.__setattr__(self, "projectors_flat", projectors_flat)
+        object.__setattr__(self, "projectors_real", projectors_real)
         object.__setattr__(self, "bloch_a", bloch_a)
         object.__setattr__(self, "bloch_b", bloch_b)
         object.__setattr__(self, "group_index", groups)
@@ -132,6 +134,7 @@ class ReconstructionResult:
     log_likelihood: float
     iterations: int
     converged: bool
+    gap: float
 
 
 @dataclass(frozen=True)
@@ -163,10 +166,10 @@ class UncertaintyReport:
 def synthesize_frequencies(rho0: np.ndarray, params: SourceParams,
                            settings: TomographySettings) -> np.ndarray:
     """Model coincidence probability for every projection pair."""
-    rho0 = validate_density_matrix(rho0, name="rho0")
+    rho0 = validate_density_matrix(rho0, name="rho0")  # once, not per setting
     out = np.empty(36)
     for k in range(36):
-        cp = click_probabilities(rho0, settings.bloch_a[k], settings.bloch_b[k], params)
+        cp = _click_probabilities(rho0, settings.bloch_a[k], settings.bloch_b[k], params)
         out[k] = coincidence_probability(cp, params.n_bar)
     return out
 
@@ -176,189 +179,125 @@ def _log_likelihood(c: np.ndarray, p: np.ndarray) -> float:
     return float(np.sum(c[mask] * np.log(np.maximum(p[mask], _LL_FLOOR))))
 
 
-def _fixed_point_numpy(pflat, c, rho, tol_rho, tol_ll, max_iterations,
-                       on_iteration=None):
-    """Reference implementation of the monotone fixed-point ascent."""
-    idx = np.flatnonzero(c > 0)
-    c_pos = c[idx]
-    pflat_pos = pflat[idx]
-    p_pos = (pflat @ rho.T.ravel()).real[idx]
-    ll = float(c_pos @ np.log(np.maximum(p_pos, _LL_FLOOR)))
-    identity = np.eye(4, dtype=complex)
-    iterations = 0
-    converged = False
+def _projected_step(sigma: np.ndarray, move: np.ndarray) -> np.ndarray:
+    """proj(sigma + move) - sigma for a unit-trace sigma.
 
-    def born_pos(state):
-        return (pflat @ state.T.ravel()).real[idx]
-
-    for iterations in range(1, max_iterations + 1):
-        weights = c_pos / np.maximum(p_pos, _LL_FLOOR)
-        r_op = (weights @ pflat_pos).reshape(4, 4)
-        new = r_op @ rho @ r_op
-        new /= new.trace().real
-        p_new = born_pos(new)
-        ll_new = float(c_pos @ np.log(np.maximum(p_new, _LL_FLOOR)))
-        if ll_new < ll:
-            # full step overshot; dilute until the likelihood is monotone
-            eps = 0.5
-            accepted = False
-            while eps > 1e-10:
-                step = identity + eps * r_op
-                candidate = step @ rho @ step
-                candidate /= candidate.trace().real
-                p_cand = born_pos(candidate)
-                ll_cand = float(c_pos @ np.log(np.maximum(p_cand, _LL_FLOOR)))
-                if ll_cand >= ll:
-                    new, p_new, ll_new = candidate, p_cand, ll_cand
-                    accepted = True
-                    break
-                eps /= 2.0
-            if not accepted:
-                converged = True  # stationary: no ascent direction left
-                break
-        delta = float(np.max(np.abs(new - rho)))
-        gain = ll_new - ll
-        rho, p_pos, ll = new, p_new, ll_new
-        if on_iteration is not None:
-            on_iteration(iterations, ll)
-        if delta < tol_rho or gain < tol_ll:
-            converged = True
+    proj is the nearest density matrix in Frobenius norm: it keeps the
+    eigenvectors of sigma + move and projects the eigenvalues onto the
+    probability simplex, shifting them all by one amount and cutting
+    those that fall below it to zero.  The difference is assembled from
+    ``move``, the shift and the cut part rather than by subtracting two
+    states, so it stays accurate when the step is small.
+    """
+    vals, vecs = np.linalg.eigh(sigma + move)
+    total = 0.0
+    kept = 0
+    for count, val in enumerate(reversed(vals.tolist()), start=1):
+        total += val
+        if val <= (total - 1.0) / count:
             break
-    return rho, ll, iterations, converged
+        kept = count
+    cut = vals[:4 - kept]
+    shift = (np.trace(move).real - cut.sum()) / kept
+    step = move - shift * _EYE4
+    if cut.size:
+        low = vecs[:, :cut.size]
+        step += (low * (shift - cut)) @ low.conj().T
+    return step
 
 
-if numba is not None:
+def _accelerated_ascent(projectors_real, c, rho, tol, max_iterations, on_iteration=None):
+    """Accelerated projected gradient ascent of sum_k c_k log p_k, c normalized.
 
-    @numba.njit(cache=True)
-    def _fixed_point_jit(pflat, c, rho_in, tol_rho, tol_ll, max_iterations):  # pragma: no cover
-        n_set = pflat.shape[0]
-        rho = rho_in.copy()
-        floor = 1e-300
-        p = np.empty(n_set)
-        for k in range(n_set):
-            acc = 0.0j
-            for i in range(4):
-                for j in range(4):
-                    acc += pflat[k, 4 * i + j] * rho[j, i]
-            p[k] = acc.real
-        ll = 0.0
-        for k in range(n_set):
-            if c[k] > 0.0:
-                p_k = p[k] if p[k] > floor else floor
-                ll += c[k] * math.log(p_k)
+    Each step moves from the extrapolated point sigma along the gradient
+    R(sigma) = sum_k (c_k / p_k) Pi_k and projects back onto the density
+    matrices.  The step length is found by backtracking and grows again
+    after every accepted step; sigma runs ahead of the last iterate with
+    Nesterov momentum (Shang, Zhang & Ng, PRA 95, 062336, 2017).  A step
+    that would lower the likelihood restarts the momentum from the
+    current iterate, so the accepted iterates are monotone.  Likelihood
+    changes are evaluated as sum_k c_k log1p(dp_k / p_k), dp being the
+    Born probabilities of the difference of the two states, so they do
+    not cancel; log1p of the difference's trace is subtracted, so a
+    roundoff change of the trace is not taken for progress.
 
-        r_op = np.empty((4, 4), dtype=np.complex128)
-        new = np.empty((4, 4), dtype=np.complex128)
-        tmp = np.empty((4, 4), dtype=np.complex128)
-        p_new = np.empty(n_set)
-        iterations = 0
-        converged = False
-        for iterations in range(1, max_iterations + 1):
-            for i in range(4):
-                for j in range(4):
-                    r_op[i, j] = 0.0j
-            for k in range(n_set):
-                if c[k] > 0.0:
-                    p_k = p[k] if p[k] > floor else floor
-                    w = c[k] / p_k
-                    for i in range(4):
-                        for j in range(4):
-                            r_op[i, j] += w * pflat[k, 4 * i + j]
+    Stops when the certified gap lambda_max(R(rho)) - 1 is at most
+    ``tol`` (Glancy, Knill & Girard, NJP 14, 095017, 2012), or when two
+    restarts in a row cannot raise the likelihood, which is the
+    floating-point floor.  Returns (rho, log-likelihood per unit
+    weight, gap, iterations, converged).
+    """
+    observed = c > 0
+    c = c[observed]
+    basis = projectors_real[observed]
 
-            for i in range(4):
-                for j in range(4):
-                    acc = 0.0j
-                    for m in range(4):
-                        acc += r_op[i, m] * rho[m, j]
-                    tmp[i, j] = acc
-            trace = 0.0
-            for i in range(4):
-                for j in range(4):
-                    acc = 0.0j
-                    for m in range(4):
-                        acc += tmp[i, m] * r_op[m, j]
-                    new[i, j] = acc
-                trace += new[i, i].real
-            for i in range(4):
-                for j in range(4):
-                    new[i, j] /= trace
+    def born(mat):
+        # Tr[Pi_k M] for Hermitian M, as a real dot product
+        return basis @ mat.reshape(16).view(np.float64)
 
-            for k in range(n_set):
-                acc = 0.0j
-                for i in range(4):
-                    for j in range(4):
-                        acc += pflat[k, 4 * i + j] * new[j, i]
-                p_new[k] = acc.real
-            ll_new = 0.0
-            for k in range(n_set):
-                if c[k] > 0.0:
-                    p_k = p_new[k] if p_new[k] > floor else floor
-                    ll_new += c[k] * math.log(p_k)
+    def gradient(p):
+        return ((c / p) @ basis).view(complex).reshape(4, 4)
 
-            if ll_new < ll:
-                eps = 0.5
-                accepted = False
-                while eps > 1e-10:
-                    for i in range(4):
-                        for j in range(4):
-                            step = eps * r_op[i, j]
-                            if i == j:
-                                step += 1.0
-                            tmp[i, j] = step
-                    trace = 0.0
-                    for i in range(4):
-                        for j in range(4):
-                            acc = 0.0j
-                            for m in range(4):
-                                for mm in range(4):
-                                    acc += tmp[i, m] * rho[m, mm] * np.conj(tmp[j, mm])
-                            new[i, j] = acc
-                        trace += new[i, i].real
-                    for i in range(4):
-                        for j in range(4):
-                            new[i, j] /= trace
-                    for k in range(n_set):
-                        acc = 0.0j
-                        for i in range(4):
-                            for j in range(4):
-                                acc += pflat[k, 4 * i + j] * new[j, i]
-                        p_new[k] = acc.real
-                    ll_cand = 0.0
-                    for k in range(n_set):
-                        if c[k] > 0.0:
-                            p_k = p_new[k] if p_new[k] > floor else floor
-                            ll_cand += c[k] * math.log(p_k)
-                    if ll_cand >= ll:
-                        ll_new = ll_cand
-                        accepted = True
-                        break
-                    eps /= 2.0
-                if not accepted:
-                    converged = True
+    def gap_of(r_op):
+        return float(np.linalg.eigvalsh(r_op)[-1] - 1.0)
+
+    rho = rho / np.trace(rho).real
+    p = born(rho)
+    if p.min() <= 0.0:
+        raise ValueError("rho_start gives zero probability to a setting with counts")
+    ll = float(c @ np.log(p))
+    r_rho = gradient(p)
+    gap = gap_of(r_rho)
+    sigma, p_sigma, r_sigma = rho, p, r_rho
+    ahead = None  # sigma - rho, None while sigma is rho
+    theta, step, failed_restarts = 1.0, _STEP_START, 0
+    iterations = 0
+    # a step off the likelihood's domain yields nan, which every test below refuses
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while gap > tol and iterations < max_iterations:
+            iterations += 1
+            gain = -math.inf
+            for _ in range(_MAX_HALVINGS):
+                to_cand = _projected_step(sigma, step * r_sigma)
+                cand = sigma + to_cand
+                p_cand = born(cand)
+                x = born(to_cand) / p_sigma
+                bound = -np.vdot(to_cand, to_cand).real / (2.0 * step)
+                if p_cand.min() > 0.0 and c @ (np.log1p(x) - x) >= bound:
+                    move = to_cand if ahead is None else ahead + to_cand
+                    gain = float(c @ np.log1p(born(move) / p) - np.log1p(move.trace().real))
                     break
-
-            delta = 0.0
-            for i in range(4):
-                for j in range(4):
-                    diff = abs(new[i, j] - rho[i, j])
-                    if diff > delta:
-                        delta = diff
-            gain = ll_new - ll
-            for i in range(4):
-                for j in range(4):
-                    rho[i, j] = new[i, j]
-            for k in range(n_set):
-                p[k] = p_new[k]
-            ll = ll_new
-            if delta < tol_rho or gain < tol_ll:
-                converged = True
-                break
-        return rho, ll, iterations, converged
+                step *= 0.5
+            if gain > 0.0:
+                failed_restarts = 0
+                theta_next = (1.0 + math.sqrt(1.0 + 4.0 * theta * theta)) / 2.0
+                ahead = (theta - 1.0) / theta_next * move if theta > 1.0 else None
+                rho, p, r_rho, theta = cand, p_cand, gradient(p_cand), theta_next
+                ll += gain
+                gap = gap_of(r_rho)
+                step *= _STEP_GROWTH
+                if on_iteration is not None:
+                    on_iteration(iterations, ll)
+            else:
+                if ahead is None:
+                    failed_restarts += 1
+                    if failed_restarts == 2:
+                        break
+                    step *= 0.5
+                theta, ahead = 1.0, None
+            if ahead is not None:
+                sigma = rho + ahead
+                p_sigma = born(sigma)
+                if p_sigma.min() > 0.0:
+                    r_sigma = gradient(p_sigma)
+                    continue
+                theta, ahead = 1.0, None  # extrapolated off the domain
+            sigma, p_sigma, r_sigma = rho, p, r_rho
+    return rho, ll, gap, iterations, gap <= tol or failed_restarts == 2
 
 
 def mle_reconstruct(frequencies, settings: TomographySettings,
-                    tol_rho: float = 1e-10, tol_ll: float = 1e-12,
-                    max_iterations: int = 10000,
+                    tol: float = 1e-10, max_iterations: int = 10000,
                     rho_start=None, on_iteration=None) -> ReconstructionResult:
     """Maximum-likelihood state from 36 coincidence frequencies or counts.
 
@@ -367,16 +306,18 @@ def mle_reconstruct(frequencies, settings: TomographySettings,
     frequencies : array_like, shape (36,)
         Nonnegative counts or relative frequencies in settings order;
         any overall scale is irrelevant.
-    tol_rho, tol_ll : float
-        Stop when the largest element change falls below ``tol_rho`` or
-        the per-unit-weight likelihood gain falls below ``tol_ll``.
+    tol : float
+        Stop once the certified gap lambda_max(R) - 1 is at most ``tol``;
+        it bounds the log-likelihood per unit weight still to be gained.
+        Ascents that reach the floating-point floor first (two restarts
+        in a row that cannot raise the likelihood) also count as
+        converged; ``gap`` then tells how close they came.
     max_iterations : int
         Iteration cap; hitting it returns the best iterate flagged
         ``converged=False``.
     rho_start : array_like, optional
-        Starting state (default: maximally mixed).  Any full-rank state
-        converges to the same maximizer; rank-deficient starts are not
-        repaired by the ascent, so prefer strictly positive ones.
+        Starting state (default: maximally mixed).  It must give every
+        setting with a nonzero frequency a positive probability.
     on_iteration : callable, optional
         Called as ``on_iteration(iteration, log_likelihood)`` after every
         accepted update (likelihoods are per unit weight, nondecreasing).
@@ -385,7 +326,7 @@ def mle_reconstruct(frequencies, settings: TomographySettings,
     -------
     ReconstructionResult
         ``log_likelihood`` is reported on the scale of the input
-        frequencies.
+        frequencies; ``gap`` is lambda_max(R) - 1 at the returned state.
     """
     c = np.asarray(frequencies, dtype=float)
     if c.shape != (36,):
@@ -401,17 +342,12 @@ def mle_reconstruct(frequencies, settings: TomographySettings,
         rho = np.eye(4, dtype=complex) / 4.0
     else:
         rho = validate_density_matrix(rho_start, name="rho_start").astype(complex)
-    pflat = settings.projectors_flat
-    if numba is not None and on_iteration is None:
-        rho, ll, iterations, converged = _fixed_point_jit(
-            pflat, c, rho, tol_rho, tol_ll, max_iterations)
-    else:
-        rho, ll, iterations, converged = _fixed_point_numpy(
-            pflat, c, rho, tol_rho, tol_ll, max_iterations, on_iteration)
+    rho, ll, gap, iterations, converged = _accelerated_ascent(
+        settings.projectors_real, c, rho, tol, max_iterations, on_iteration)
     rho = (rho + rho.conj().T) / 2.0
     rho /= np.trace(rho).real
     return ReconstructionResult(rho=rho, log_likelihood=ll * total,
-                                iterations=iterations, converged=converged)
+                                iterations=iterations, converged=converged, gap=gap)
 
 
 def fit_kappa(frequencies, settings: TomographySettings, rho_b: np.ndarray) -> float:

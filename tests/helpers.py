@@ -120,6 +120,28 @@ def qber_min_brute(rho: np.ndarray, n_theta: int = 16, n_phi: int = 32) -> float
     return (1.0 - best) / 2.0
 
 
+def likelihood_gap(frequencies, rho: np.ndarray) -> float:
+    """lambda_max(R) - 1 with R = sum_k (c_k / p_k) Pi_k over the 36 canonical pairs.
+
+    c is normalized and the sum runs over the settings with counts.  The
+    projectors are built here from kets and Kronecker products, in the
+    row-major H, V, D, A, R, L order; the gap bounds the log-likelihood
+    per count that any state could still add (Glancy, Knill & Girard 2012).
+    """
+    s2 = 1.0 / math.sqrt(2.0)
+    kets = [np.array(v, dtype=complex) for v in
+            ([1, 0], [0, 1], [s2, s2], [s2, -s2], [s2, 1j * s2], [s2, -1j * s2])]
+    c = np.asarray(frequencies, dtype=float)
+    c = c / c.sum()
+    r_op = np.zeros((4, 4), dtype=complex)
+    for k, (a, b) in enumerate((a, b) for a in kets for b in kets):
+        if c[k] > 0.0:
+            ket = np.kron(a, b)
+            proj = np.outer(ket, ket.conj())
+            r_op += c[k] / np.trace(rho @ proj).real * proj
+    return float(np.linalg.eigvalsh(r_op)[-1] - 1.0)
+
+
 def coincidence_series(p11: float, p10: float, p01: float, p00: float,
                        n_bar: float, tail: float = 1e-15) -> float:
     """Literal Poisson-mixture sum, truncated once the tail is below ``tail``."""

@@ -35,6 +35,7 @@ class TestReconstruct:
         assert report["metrics"]["S"] == pytest.approx(2 * math.sqrt(2), abs=1e-3)
         assert report["metrics"]["r_dw"] == pytest.approx(1.0, abs=2e-3)
         assert report["reconstruction"]["converged"] is True
+        assert report["reconstruction"]["gap"] <= 1e-10
         assert report["bases"]["achieved_S"] == pytest.approx(report["metrics"]["S"], abs=1e-9)
         assert report["uncertainty"] is None
 
@@ -74,7 +75,8 @@ class TestReconstruct:
         real = cli.tomography.mle_reconstruct
 
         def capped(frequencies, settings, **kwargs):
-            kwargs["max_iterations"] = 3
+            # the exact Bell counts below certify after 3 iterations; 1 cannot
+            kwargs["max_iterations"] = 1
             return real(frequencies, settings, **kwargs)
 
         monkeypatch.setattr(cli.tomography, "mle_reconstruct", capped)

@@ -61,6 +61,20 @@ class TestQberMin:
             assert qber_min(rho) == pytest.approx(helpers.qber_min_brute(rho), abs=1e-3)
 
 
+class TestPureStateRoundoff:
+    def test_rotated_phi_plus_never_raises(self, rng):
+        # roundoff once put the largest correlation eigenvalue of a pure
+        # state above 1, so qber_min returned -1e-16 and devetak_winter raised
+        phi = bell_state("phi+")
+        for _ in range(2000):
+            local = np.kron(helpers.random_single_qubit_unitary(rng),
+                            helpers.random_single_qubit_unitary(rng))
+            qkd = QkdMetrics.from_state(local @ phi @ local.conj().T, 1e-3)
+            assert 0.0 <= qkd.q <= 1e-7
+            assert qkd.s == pytest.approx(TSIRELSON, abs=1e-7)
+            assert qkd.r_dw == pytest.approx(1.0, abs=1e-5)
+
+
 class TestDevetakWinter:
     def test_perfect_state(self):
         assert devetak_winter(TSIRELSON, 0.0) == pytest.approx(1.0, abs=1e-12)

@@ -69,10 +69,13 @@ class TestSynthesizeFrequencies:
 
 class TestMleReconstruct:
     def test_round_trip_random_states(self, rng):
-        for _ in range(10):
-            rho = helpers.random_density_matrix(rng, rank=int(rng.integers(1, 5)))
-            rec = mle_reconstruct(SETTINGS.born_probabilities(rho), SETTINGS)
+        # every rank, 1 to 4, reconstructs and certifies
+        for rank in (1, 2, 3, 4, 1, 2, 3, 4, 1, 4):
+            rho = helpers.random_density_matrix(rng, rank=rank)
+            freqs = SETTINGS.born_probabilities(rho)
+            rec = mle_reconstruct(freqs, SETTINGS)
             assert rec.converged
+            assert helpers.likelihood_gap(freqs, rec.rho) <= 1e-6
             assert fidelity(rec.rho, rho) > 0.999
 
     def test_isotropic_data(self):
@@ -127,18 +130,6 @@ class TestMleReconstruct:
         assert not rec.converged
         assert rec.iterations == 2
 
-    def test_accelerated_path_matches_reference(self, rng, monkeypatch):
-        import entqkd.tomography as tomo
-        if tomo.numba is None:
-            pytest.skip("accelerator not installed")
-        counts = rng.poisson(3000 * SETTINGS.born_probabilities(werner_mix(PHI_PLUS, 0.03)))
-        fast = mle_reconstruct(counts.astype(float), SETTINGS)
-        monkeypatch.setattr(tomo, "numba", None)
-        reference = mle_reconstruct(counts.astype(float), SETTINGS)
-        assert fast.iterations == reference.iterations
-        assert fast.converged == reference.converged
-        assert np.max(np.abs(fast.rho - reference.rho)) < 1e-13
-
     def test_warm_start_reaches_same_optimum(self, rng):
         counts = rng.poisson(5000 * SETTINGS.born_probabilities(werner_mix(PHI_PLUS, 0.1)))
         cold = mle_reconstruct(counts.astype(float), SETTINGS)
@@ -146,6 +137,48 @@ class TestMleReconstruct:
                                rho_start=0.9 * cold.rho + 0.1 * np.eye(4) / 4)
         assert np.max(np.abs(cold.rho - warm.rho)) < 1e-5
         assert warm.log_likelihood == pytest.approx(cold.log_likelihood, rel=1e-12)
+
+
+class TestCertificate:
+    """The reported gap is lambda_max(R) - 1, checked by an independent evaluation."""
+
+    def test_gap_matches_independent_evaluation(self, rng):
+        for _ in range(5):
+            rho = helpers.random_density_matrix(rng, rank=int(rng.integers(1, 5)))
+            counts = rng.poisson(4000 * SETTINGS.born_probabilities(rho)).astype(float)
+            rec = mle_reconstruct(counts, SETTINGS)
+            assert rec.gap == pytest.approx(helpers.likelihood_gap(counts, rec.rho),
+                                            abs=1e-12)
+
+    def test_monte_carlo_fits_certify(self, monkeypatch):
+        # the criterion-12 dataset: both fits of the data and every sample
+        import entqkd.tomography as tomo
+        params = SourceParams(0.01, 0.16, 0.16)
+        rho0 = werner_mix(PHI_PLUS, 1.0 - 2.815 / TSIRELSON)
+        n_windows = 5.0e7
+        counts = np.random.default_rng(1212).poisson(
+            synthesize_frequencies(rho0, params, SETTINGS) * n_windows)
+        ds = make_dataset(counts, tau_s=1e-9, duration_s=1e-9 * n_windows)
+        fits = []
+        real = tomo.mle_reconstruct
+
+        def recorded(frequencies, settings, **kwargs):
+            result = real(frequencies, settings, **kwargs)
+            fits.append((np.array(frequencies, dtype=float), result))
+            return result
+
+        monkeypatch.setattr(tomo, "mle_reconstruct", recorded)
+        monte_carlo_uncertainty(ds, samples=40, seed=5)
+        assert len(fits) == 41
+        for freqs, result in fits:
+            assert result.converged
+            assert result.iterations <= 500
+            assert helpers.likelihood_gap(freqs, result.rho) <= 1e-6
+
+    def test_zero_probability_start_rejected(self):
+        counts = SETTINGS.born_probabilities(werner_mix(PHI_PLUS, 0.1))
+        with pytest.raises(ValueError):
+            mle_reconstruct(counts, SETTINGS, rho_start=PHI_PLUS)
 
 
 class TestFitKappa:
