@@ -12,7 +12,8 @@ __version__ = "0.1.0"
 from .bases import (BasisSet, NoSignalError, WaveplateSetting, optimal_bases,
                     verify_bases, waveplate_angles)
 from .metrics import (QkdMetrics, binary_entropy, chsh_max, devetak_winter,
-                      devetak_winter_raw, key_rate, qber_min, s_q_from_kappa)
+                      devetak_winter_raw, evaluate_state, key_rate, qber_min,
+                      s_q_from_kappa)
 from .optimize import (CRITICAL_N_BAR_LIMIT, R_KEY_MAX_SPDC, GainOptimum,
                        NoSecurityError, QdThreshold, critical_gain,
                        optimize_gain, qd_key_line, qd_reference_state,
@@ -29,8 +30,8 @@ from .states import (BELL_LABELS, MAXIMALLY_MIXED, POLARIZATION_BLOCH,
 from .tomography import (PROJECTION_LABELS, ReconstructionResult,
                          TomographyDataset, TomographySettings,
                          UncertaintyReport, coincidence_rate_from_counts,
-                         fit_kappa, mle_reconstruct, monte_carlo_uncertainty,
-                         synthesize_frequencies)
+                         fit_kappa, mle_curve, mle_reconstruct,
+                         monte_carlo_uncertainty, synthesize_frequencies)
 
 __all__ = [
     "__version__",
@@ -45,10 +46,11 @@ __all__ = [
     "chsh_max", "click_probabilities", "coincidence_probability",
     "coincidence_rate_exact", "coincidence_rate_from_counts", "concurrence",
     "correlation_analysis", "critical_gain", "devetak_winter",
-    "devetak_winter_raw", "effective_state", "fidelity", "fit_kappa",
-    "kappa_approx", "kappa_exact", "ket_to_dm", "key_rate", "mle_reconstruct",
-    "model_curve", "monte_carlo_uncertainty", "optimal_bases", "optimize_gain",
-    "partial_trace", "pauli", "qber_min", "qd_key_line", "qd_reference_state",
-    "qd_threshold", "s_q_from_kappa", "synthesize_frequencies",
-    "validate_density_matrix", "verify_bases", "waveplate_angles", "werner_mix",
+    "devetak_winter_raw", "effective_state", "evaluate_state", "fidelity",
+    "fit_kappa", "kappa_approx", "kappa_exact", "ket_to_dm", "key_rate",
+    "mle_curve", "mle_reconstruct", "model_curve", "monte_carlo_uncertainty",
+    "optimal_bases", "optimize_gain", "partial_trace", "pauli", "qber_min",
+    "qd_key_line", "qd_reference_state", "qd_threshold", "s_q_from_kappa",
+    "synthesize_frequencies", "validate_density_matrix", "verify_bases",
+    "waveplate_angles", "werner_mix",
 ]

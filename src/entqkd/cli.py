@@ -144,36 +144,11 @@ def cmd_reconstruct(args) -> int:
     return EXIT_OK
 
 
-def _mle_curve(rho0: np.ndarray, eta_a: float, eta_b: float,
-               grid) -> list[spdc.ModelPoint]:
-    """Gain curve via the full pipeline: synthesize, reconstruct, evaluate.
-
-    The kappa column reports the effective white-noise weight inferred
-    from the achieved S, 1 - S / (2 sqrt(2)); for mixture-family states
-    this coincides with the mixing weight.
-    """
-    settings = tomography.TomographySettings.canonical()
-    points = []
-    for n_bar in grid:
-        params = spdc.SourceParams(n_bar=float(n_bar), eta_a=eta_a, eta_b=eta_b)
-        freqs = tomography.synthesize_frequencies(rho0, params, settings)
-        rho = tomography.mle_reconstruct(freqs, settings).rho
-        s = metrics.chsh_max(rho)
-        q = metrics.qber_min(rho)
-        r_dw = metrics.devetak_winter(s, q)
-        r_c = spdc.coincidence_rate_exact(n_bar, eta_a, eta_b)
-        points.append(spdc.ModelPoint(n_bar=float(n_bar),
-                                      kappa=1.0 - s / metrics.TSIRELSON,
-                                      s=s, q=q, r_dw=r_dw, r_c=r_c,
-                                      r_key=metrics.key_rate(r_dw, r_c)))
-    return points
-
-
 def cmd_model(args) -> int:
     eta_a, eta_b = _resolve_etas(args)
     grid = _parse_grid(args.nbar_grid, args.log)
     if args.rho0_file is not None:
-        points = _mle_curve(_load_rho0(args.rho0_file), eta_a, eta_b, grid)
+        points = tomography.mle_curve(_load_rho0(args.rho0_file), eta_a, eta_b, grid)
     else:
         points = spdc.model_curve(eta_a, eta_b, grid)
     _write_text(dataio.model_points_to_csv(points), args.out)
@@ -227,7 +202,7 @@ def cmd_compare(args) -> int:
         rho0 = _load_rho0(args.rho0_file)
     else:
         rho0 = werner_mix(bell_state("phi+"), 1.0 - args.s_target / metrics.TSIRELSON)
-    lossy = _mle_curve(rho0, eta_a, eta_b, grid)
+    lossy = tomography.mle_curve(rho0, eta_a, eta_b, grid)
     _write_text(dataio.model_points_to_csv(lossy),
                 os.path.join(args.out_dir, "spdc_model.csv"))
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import correlation_analysis, validate_density_matrix
+from .states import correlation_analysis
 
 TSIRELSON = 2.0 * math.sqrt(2.0)
 
@@ -41,16 +41,25 @@ def binary_entropy(q: float) -> float:
     return -q * math.log2(q) - (1.0 - q) * math.log2(1.0 - q)
 
 
+def evaluate_state(rho: np.ndarray) -> tuple[float, float, float]:
+    """(S, Q, r_DW) of rho: optimal CHSH value, minimal QBER, Devetak-Winter rate.
+
+    One validation and one correlation analysis serve all three.
+    """
+    lam = correlation_analysis(rho).eigenvalues
+    s = min(2.0 * math.sqrt(lam[0] + lam[1]), TSIRELSON)
+    q = (1.0 - math.sqrt(lam[0])) / 2.0
+    return s, q, devetak_winter(s, q)
+
+
 def chsh_max(rho: np.ndarray) -> float:
     """Largest CHSH value reachable with projective measurements on rho."""
-    lam = correlation_analysis(rho).eigenvalues
-    return min(2.0 * math.sqrt(lam[0] + lam[1]), TSIRELSON)
+    return evaluate_state(rho)[0]
 
 
 def qber_min(rho: np.ndarray) -> float:
     """Smallest QBER reachable in the key-generating bases of rho."""
-    lam = correlation_analysis(rho).eigenvalues
-    return (1.0 - math.sqrt(lam[0])) / 2.0
+    return evaluate_state(rho)[1]
 
 
 def devetak_winter_raw(s: float, q: float) -> float:
@@ -127,10 +136,7 @@ class QkdMetrics:
     @classmethod
     def from_state(cls, rho: np.ndarray, r_c: float) -> "QkdMetrics":
         """Evaluate S, Q, r_DW for a state and combine with a coincidence rate."""
-        rho = validate_density_matrix(rho)
-        s = chsh_max(rho)
-        q = qber_min(rho)
-        r_dw = devetak_winter(s, q)
+        s, q, r_dw = evaluate_state(rho)
         return cls(s=s, q=q, r_dw=r_dw, r_c=r_c, r_key=key_rate(r_dw, r_c))
 
     def to_json_dict(self) -> dict:

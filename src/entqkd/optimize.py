@@ -23,7 +23,7 @@ import numpy as np
 
 from . import metrics
 from .numeric import bisect_root, golden_section_max
-from .spdc import coincidence_rate_exact, kappa_approx, kappa_exact
+from .spdc import _model_point, kappa_approx, kappa_exact
 from .states import bell_state, werner_mix
 
 #: Rounded CW-source key-rate bound used for the comparison thresholds
@@ -61,12 +61,6 @@ class QdThreshold:
     r_c_threshold: float
 
 
-def _r_key(n_bar: float, eta_a: float, eta_b: float) -> float:
-    s, q = metrics.s_q_from_kappa(kappa_exact(n_bar, eta_a, eta_b))
-    return metrics.key_rate(metrics.devetak_winter(s, q),
-                            coincidence_rate_exact(n_bar, eta_a, eta_b))
-
-
 def optimize_gain(eta_a: float, eta_b: float) -> GainOptimum:
     """Maximize the key rate over the gain by golden-section search.
 
@@ -77,9 +71,9 @@ def optimize_gain(eta_a: float, eta_b: float) -> GainOptimum:
     for name, eta in (("eta_a", eta_a), ("eta_b", eta_b)):
         if not 0.0 < eta <= 1.0:
             raise ValueError(f"{name} must lie in (0, 1], got {eta}")
-    n_opt = golden_section_max(lambda n: _r_key(n, eta_a, eta_b),
+    n_opt = golden_section_max(lambda n: _model_point(n, eta_a, eta_b).r_key,
                                1e-9, CRITICAL_N_BAR_LIMIT, tol=1e-7)
-    return GainOptimum(n_bar_opt=float(n_opt), r_key_opt=_r_key(n_opt, eta_a, eta_b),
+    return GainOptimum(n_bar_opt=float(n_opt), r_key_opt=_model_point(n_opt, eta_a, eta_b).r_key,
                        eta_a=eta_a, eta_b=eta_b)
 
 
@@ -134,10 +128,7 @@ def qd_threshold(concurrence: float, noise_model: str) -> QdThreshold:
     """Coincidence rate a single-pair source needs to beat the CW bound."""
     if not 0.0 < concurrence <= 1.0:
         raise NoSecurityError("zero concurrence gives a vanishing Devetak-Winter rate")
-    rho = qd_reference_state(concurrence, noise_model)
-    s = metrics.chsh_max(rho)
-    q = metrics.qber_min(rho)
-    r_dw = metrics.devetak_winter(s, q)
+    _, _, r_dw = metrics.evaluate_state(qd_reference_state(concurrence, noise_model))
     if r_dw <= 0.0:
         raise NoSecurityError(
             f"concurrence {concurrence} under {noise_model} noise is not secure (r_DW = 0)")

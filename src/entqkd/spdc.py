@@ -187,6 +187,16 @@ class ModelPoint(NamedTuple):
     r_key: float
 
 
+def _model_point(n_bar: float, eta_a: float, eta_b: float) -> ModelPoint:
+    """Chain kappa_exact -> (S, Q) -> Devetak-Winter rate, times the exact r_C."""
+    kappa = kappa_exact(n_bar, eta_a, eta_b)
+    s, q = metrics.s_q_from_kappa(kappa)
+    r_dw = metrics.devetak_winter(s, q)
+    r_c = coincidence_rate_exact(n_bar, eta_a, eta_b)
+    return ModelPoint(n_bar=float(n_bar), kappa=kappa, s=s, q=q, r_dw=r_dw, r_c=r_c,
+                      r_key=metrics.key_rate(r_dw, r_c))
+
+
 def model_curve(eta_a: float, eta_b: float, n_bar_grid) -> list[ModelPoint]:
     """Evaluate the Bell-input source model on a gain grid.
 
@@ -194,13 +204,4 @@ def model_curve(eta_a: float, eta_b: float, n_bar_grid) -> list[ModelPoint]:
     by the exact coincidence rate; one ModelPoint per grid value, in
     grid order.  Suitable for plotting rate-versus-gain curves.
     """
-    points = []
-    for n_bar in n_bar_grid:
-        kappa = kappa_exact(n_bar, eta_a, eta_b) if n_bar > 0 else 0.0
-        s, q = metrics.s_q_from_kappa(kappa)
-        r_dw = metrics.devetak_winter(s, q)
-        r_c = coincidence_rate_exact(n_bar, eta_a, eta_b)
-        points.append(ModelPoint(n_bar=float(n_bar), kappa=kappa, s=s, q=q,
-                                 r_dw=r_dw, r_c=r_c,
-                                 r_key=metrics.key_rate(r_dw, r_c)))
-    return points
+    return [_model_point(n_bar, eta_a, eta_b) for n_bar in n_bar_grid]

@@ -63,7 +63,12 @@ BELL_LABELS = ("phi+", "phi-", "psi+", "psi-")
 
 MAXIMALLY_MIXED = np.eye(4, dtype=complex) / 4.0
 
-for _arr in (_I2, _SIGMA_X, _SIGMA_Y, _SIGMA_Z, MAXIMALLY_MIXED,
+# T.reshape(9) = _PAULI_PAIRS_REAL @ rho.reshape(16).view(float) for Hermitian rho
+_PAULI_PAIRS_REAL = np.ascontiguousarray(
+    [np.kron(a, b).reshape(16) for a in (_SIGMA_X, _SIGMA_Y, _SIGMA_Z)
+     for b in (_SIGMA_X, _SIGMA_Y, _SIGMA_Z)]).view(np.float64)
+
+for _arr in (_I2, _SIGMA_X, _SIGMA_Y, _SIGMA_Z, MAXIMALLY_MIXED, _PAULI_PAIRS_REAL,
              *POLARIZATION_KETS.values(), *POLARIZATION_BLOCH.values()):
     _arr.flags.writeable = False
 
@@ -198,12 +203,8 @@ def correlation_analysis(rho: np.ndarray) -> CorrelationAnalysis:
         positive semidefinite and, for a state, no eigenvalue exceeds 1,
         so only roundoff lies outside.
     """
-    rho = validate_density_matrix(rho)
-    paulis = (_SIGMA_X, _SIGMA_Y, _SIGMA_Z)
-    tensor = np.empty((3, 3))
-    for i in range(3):
-        for j in range(3):
-            tensor[i, j] = np.trace(rho @ np.kron(paulis[i], paulis[j])).real
+    rho = np.ascontiguousarray(validate_density_matrix(rho))
+    tensor = (_PAULI_PAIRS_REAL @ rho.reshape(16).view(np.float64)).reshape(3, 3)
     matrix_u = tensor.T @ tensor
     vals, vecs = np.linalg.eigh(matrix_u)
     order = np.argsort(vals)[::-1]

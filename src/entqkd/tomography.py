@@ -1,4 +1,4 @@
-"""Two-qubit tomography: frequency synthesis, MLE reconstruction, uncertainty.
+"""Two-qubit tomography: frequency synthesis, MLE, uncertainty, pipeline gain curve.
 
 The measurement set is the 36 ordered pairs of the six polarization
 states H, V, D, A, R, L.  Pairs sharing the same Pauli axis on both
@@ -34,7 +34,8 @@ import numpy as np
 
 from . import metrics
 from .numeric import golden_section_max
-from .spdc import SourceParams, _click_probabilities, coincidence_probability
+from .spdc import (ModelPoint, SourceParams, _click_probabilities, coincidence_probability,
+                   coincidence_rate_exact)
 from .states import (POLARIZATION_BLOCH, POLARIZATION_KETS, ket_to_dm,
                      validate_density_matrix)
 
@@ -151,6 +152,8 @@ class UncertaintyReport:
     r_key_std: float
     samples: int
     seed: int
+    #: samples whose reconstruction hit the iteration cap; they stay in the means
+    unconverged: int
 
     def to_json_dict(self) -> dict:
         return {
@@ -160,6 +163,7 @@ class UncertaintyReport:
             "R_key": {"mean": self.r_key_mean, "std": self.r_key_std},
             "samples": self.samples,
             "seed": self.seed,
+            "unconverged": self.unconverged,
         }
 
 
@@ -172,6 +176,17 @@ def synthesize_frequencies(rho0: np.ndarray, params: SourceParams,
         cp = _click_probabilities(rho0, settings.bloch_a[k], settings.bloch_b[k], params)
         out[k] = coincidence_probability(cp, params.n_bar)
     return out
+
+
+def _check_frequencies(frequencies) -> np.ndarray:
+    c = np.asarray(frequencies, dtype=float)
+    if c.shape != (36,):
+        raise ValueError(f"frequencies must have shape (36,), got {c.shape}")
+    if np.any(c < 0):
+        raise ValueError("frequencies must be nonnegative")
+    if c.sum() <= 0.0:
+        raise ValueError("frequencies must not be all zero")
+    return c
 
 
 def _log_likelihood(c: np.ndarray, p: np.ndarray) -> float:
@@ -328,14 +343,8 @@ def mle_reconstruct(frequencies, settings: TomographySettings,
         ``log_likelihood`` is reported on the scale of the input
         frequencies; ``gap`` is lambda_max(R) - 1 at the returned state.
     """
-    c = np.asarray(frequencies, dtype=float)
-    if c.shape != (36,):
-        raise ValueError(f"frequencies must have shape (36,), got {c.shape}")
-    if np.any(c < 0):
-        raise ValueError("frequencies must be nonnegative")
+    c = _check_frequencies(frequencies)
     total = c.sum()
-    if total <= 0.0:
-        raise ValueError("frequencies must not be all zero")
     c = c / total  # likelihood maximizer is scale invariant; normalize once
 
     if rho_start is None:
@@ -357,13 +366,7 @@ def fit_kappa(frequencies, settings: TomographySettings, rho_b: np.ndarray) -> f
     kappa in [0, 1], where B_k are the Born probabilities of ``rho_b``;
     bracketed golden-section search to 1e-10.
     """
-    c = np.asarray(frequencies, dtype=float)
-    if c.shape != (36,):
-        raise ValueError(f"frequencies must have shape (36,), got {c.shape}")
-    if np.any(c < 0):
-        raise ValueError("frequencies must be nonnegative")
-    if c.sum() <= 0.0:
-        raise ValueError("frequencies must not be all zero")
+    c = _check_frequencies(frequencies)
     rho_b = validate_density_matrix(rho_b, name="rho_b")
     born = settings.born_probabilities(rho_b)
 
@@ -390,15 +393,12 @@ def coincidence_rate_from_counts(ds: TomographyDataset) -> float:
 
 
 def _metrics_from_counts(counts, ds: TomographyDataset, rho_start,
-                         mle_kwargs: dict) -> tuple[float, float, float, float]:
+                         mle_kwargs: dict) -> tuple[metrics.QkdMetrics, bool]:
     result = mle_reconstruct(counts, ds.settings, rho_start=rho_start, **mle_kwargs)
-    s = metrics.chsh_max(result.rho)
-    q = metrics.qber_min(result.rho)
-    r_dw = metrics.devetak_winter(s, q)
     resampled = TomographyDataset(settings=ds.settings, counts=np.asarray(counts, dtype=np.int64),
                                   tau_s=ds.tau_s, duration_s=ds.duration_s)
-    r_c = coincidence_rate_from_counts(resampled)
-    return s, q, r_dw, metrics.key_rate(r_dw, r_c)
+    qkd = metrics.QkdMetrics.from_state(result.rho, coincidence_rate_from_counts(resampled))
+    return qkd, result.converged
 
 
 def monte_carlo_uncertainty(ds: TomographyDataset, samples: int, seed: int,
@@ -423,10 +423,13 @@ def monte_carlo_uncertainty(ds: TomographyDataset, samples: int, seed: int,
     base = ds.counts.astype(float)
     base_fit = mle_reconstruct(base, ds.settings, **mle_kwargs)
     warm_start = 0.99 * base_fit.rho + 0.01 * np.eye(4, dtype=complex) / 4.0
+    unconverged = 0
     for i, stream in enumerate(streams):
         rng = np.random.default_rng(stream)
         resampled = rng.poisson(base)
-        values[i] = _metrics_from_counts(resampled, ds, warm_start, mle_kwargs)
+        qkd, converged = _metrics_from_counts(resampled, ds, warm_start, mle_kwargs)
+        values[i] = qkd.s, qkd.q, qkd.r_dw, qkd.r_key
+        unconverged += not converged
     means = values.mean(axis=0)
     stds = values.std(axis=0, ddof=1)
     return UncertaintyReport(
@@ -434,4 +437,23 @@ def monte_carlo_uncertainty(ds: TomographyDataset, samples: int, seed: int,
         q_mean=float(means[1]), q_std=float(stds[1]),
         r_dw_mean=float(means[2]), r_dw_std=float(stds[2]),
         r_key_mean=float(means[3]), r_key_std=float(stds[3]),
-        samples=samples, seed=seed)
+        samples=samples, seed=seed, unconverged=unconverged)
+
+
+def mle_curve(rho0: np.ndarray, eta_a: float, eta_b: float, n_bar_grid) -> list[ModelPoint]:
+    """Gain curve via the full pipeline: synthesize, reconstruct, evaluate.
+
+    The kappa column reports the effective white-noise weight inferred
+    from the achieved S, 1 - S / (2 sqrt(2)); for mixture-family states
+    this coincides with the mixing weight.
+    """
+    settings = TomographySettings.canonical()
+    points = []
+    for n_bar in n_bar_grid:
+        params = SourceParams(n_bar=float(n_bar), eta_a=eta_a, eta_b=eta_b)
+        rho = mle_reconstruct(synthesize_frequencies(rho0, params, settings), settings).rho
+        r_c = coincidence_rate_exact(n_bar, eta_a, eta_b)
+        qkd = metrics.QkdMetrics.from_state(rho, r_c)
+        points.append(ModelPoint(n_bar=float(n_bar), kappa=1.0 - qkd.s / metrics.TSIRELSON,
+                                 s=qkd.s, q=qkd.q, r_dw=qkd.r_dw, r_c=r_c, r_key=qkd.r_key))
+    return points

@@ -53,6 +53,11 @@ def correlation_along(rho: np.ndarray, a, b) -> float:
     return np.trace(rho @ np.kron(bloch_operator(a), bloch_operator(b))).real
 
 
+def correlation_tensor_direct(rho: np.ndarray) -> np.ndarray:
+    """T[i, j] = Tr[rho (sigma_i (x) sigma_j)], one Kronecker product and trace each."""
+    return np.array([[np.trace(rho @ np.kron(a, b)).real for b in PAULIS] for a in PAULIS])
+
+
 def _conditional_bloch(rho: np.ndarray, b) -> np.ndarray:
     return np.array([np.trace(rho @ np.kron(s, bloch_operator(b))).real for s in PAULIS])
 

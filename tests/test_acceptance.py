@@ -85,11 +85,11 @@ def test_criterion_02_quadratic_factorization():
 
 
 def test_criterion_03_fixed_gain_within_two_permille():
-    from entqkd.optimize import _r_key
+    from entqkd.spdc import _model_point
     worst = 1.0
     for eta in ETA_GRID:
         opt = optimize_gain(eta, eta)
-        worst = min(worst, _r_key(0.0737, eta, eta) / opt.r_key_opt)
+        worst = min(worst, _model_point(0.0737, eta, eta).r_key / opt.r_key_opt)
     _criterion(3, worst >= 0.998,
                f"R(0.0737)/R_opt worst ratio {worst:.6f} (need >= 0.998)")
 

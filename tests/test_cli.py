@@ -57,6 +57,7 @@ class TestReconstruct:
                          "--out", str(out)])
             assert code == 0
         assert out1.read_bytes() == out2.read_bytes()
+        assert json.loads(out1.read_text())["uncertainty"]["unconverged"] == 0
         out3 = tmp_path / "r3.json"
         main(["reconstruct", str(ds_path), "--mc", "25", "--seed", "10", "--out", str(out3)])
         assert out3.read_bytes() != out1.read_bytes()

@@ -5,7 +5,8 @@ from entqkd import (NoSecurityError, chsh_max, concurrence, critical_gain,
                     devetak_winter_raw, kappa_exact, optimize_gain, qber_min,
                     qd_key_line, qd_reference_state, qd_threshold,
                     s_q_from_kappa)
-from entqkd.optimize import R_KEY_MAX_SPDC, _r_key
+from entqkd.optimize import R_KEY_MAX_SPDC
+from entqkd.spdc import _model_point
 
 
 class TestOptimizeGain:
@@ -19,9 +20,9 @@ class TestOptimizeGain:
         for eta in (0.05, 0.16, 0.3, 0.5, 1.0):
             opt = optimize_gain(eta, eta)
             for shift in (1e-4, -1e-4):
-                assert opt.r_key_opt >= _r_key(opt.n_bar_opt + shift, eta, eta)
+                assert opt.r_key_opt >= _model_point(opt.n_bar_opt + shift, eta, eta).r_key
             for factor in (1 + 1e-3, 1 - 1e-3):
-                assert opt.r_key_opt >= _r_key(opt.n_bar_opt * factor, eta, eta)
+                assert opt.r_key_opt >= _model_point(opt.n_bar_opt * factor, eta, eta).r_key
 
     def test_optimal_gain_varies_weakly(self):
         gains = [optimize_gain(eta, eta).n_bar_opt for eta in np.linspace(0.02, 1.0, 12)]
@@ -30,7 +31,7 @@ class TestOptimizeGain:
     def test_fixed_gain_within_two_permille(self):
         for eta in (0.05, 0.1, 0.16, 0.3, 0.5, 1.0):
             opt = optimize_gain(eta, eta)
-            assert _r_key(0.0737, eta, eta) >= 0.998 * opt.r_key_opt
+            assert _model_point(0.0737, eta, eta).r_key >= 0.998 * opt.r_key_opt
 
     def test_quadratic_scaling_ratio_falls_with_eta(self):
         # R_opt / eta^2 is not constant (the published 0.029 eta^2 law holds

@@ -135,6 +135,28 @@ class TestCorrelationAnalysis:
             assert np.max(np.abs(recomposed - res.matrix_u)) < 1e-9
             assert np.allclose(res.eigenvectors.T @ res.eigenvectors, np.eye(3), atol=1e-10)
 
+    def test_tensor_matches_kron_traces(self, rng):
+        for rank in (1, 2, 3, 4):
+            for _ in range(10):
+                rho = helpers.random_density_matrix(rng, rank=rank)
+                tensor = correlation_analysis(rho).tensor
+                assert np.max(np.abs(tensor - helpers.correlation_tensor_direct(rho))) <= 1e-14
+
+    @pytest.mark.parametrize("layout", ["strided", "transposed", "real"])
+    def test_tensor_of_non_contiguous_and_real_inputs(self, rng, layout):
+        rho = helpers.random_density_matrix(rng)
+        if layout == "strided":
+            arg = np.zeros(32, dtype=complex)[::2].reshape(4, 4)
+            arg[...] = rho
+        elif layout == "transposed":
+            arg = rho.T
+        else:
+            g = rng.normal(size=(4, 4))
+            arg = g @ g.T / np.trace(g @ g.T)
+        assert not (arg.flags.c_contiguous and arg.dtype == complex)
+        tensor = correlation_analysis(arg).tensor
+        assert np.max(np.abs(tensor - helpers.correlation_tensor_direct(arg))) <= 1e-14
+
     def test_sign_convention(self, rng):
         for _ in range(20):
             rho = helpers.random_density_matrix(rng)

@@ -168,7 +168,8 @@ class TestCertificate:
             return result
 
         monkeypatch.setattr(tomo, "mle_reconstruct", recorded)
-        monte_carlo_uncertainty(ds, samples=40, seed=5)
+        report = monte_carlo_uncertainty(ds, samples=40, seed=5)
+        assert report.unconverged == 0
         assert len(fits) == 41
         for freqs, result in fits:
             assert result.converged
@@ -243,6 +244,12 @@ class TestMonteCarlo:
         assert a == b
         c = monte_carlo_uncertainty(dataset, samples=20, seed=43)
         assert c != a
+
+    def test_unconverged_samples_are_counted_and_kept(self, dataset):
+        report = monte_carlo_uncertainty(dataset, 4, 0, max_iterations=1)
+        assert report.unconverged == 4
+        assert report.samples == 4 and report.s_std > 0.0
+        assert report.to_json_dict()["unconverged"] == 4
 
     def test_sample_count_guard(self, dataset):
         with pytest.raises(ValueError):
