@@ -18,10 +18,9 @@ from .optimize import (CRITICAL_N_BAR_LIMIT, R_KEY_MAX_SPDC, GainOptimum,
                        NoSecurityError, QdThreshold, critical_gain,
                        optimize_gain, qd_key_line, qd_reference_state,
                        qd_threshold)
-from .spdc import (ClickProbabilities, ModelPoint, SourceParams,
-                   click_probabilities, coincidence_probability,
-                   coincidence_rate_exact, effective_state, kappa_approx,
-                   kappa_exact, model_curve)
+from .spdc import (ModelPoint, SourceParams, click_probabilities,
+                   coincidence_probability, coincidence_rate_exact,
+                   effective_state, kappa_approx, kappa_exact, model_curve)
 from .states import (BELL_LABELS, MAXIMALLY_MIXED, POLARIZATION_BLOCH,
                      POLARIZATION_KETS, CorrelationAnalysis, bell_state,
                      bloch_projector, bloch_to_ket, concurrence,
@@ -37,7 +36,7 @@ __all__ = [
     "__version__",
     "BELL_LABELS", "MAXIMALLY_MIXED", "POLARIZATION_BLOCH", "POLARIZATION_KETS",
     "PROJECTION_LABELS",
-    "BasisSet", "ClickProbabilities", "CorrelationAnalysis", "GainOptimum",
+    "BasisSet", "CorrelationAnalysis", "GainOptimum",
     "ModelPoint", "NoSecurityError", "NoSignalError", "QdThreshold",
     "QkdMetrics", "ReconstructionResult", "SourceParams", "TomographyDataset",
     "TomographySettings", "UncertaintyReport", "WaveplateSetting",

@@ -3,20 +3,31 @@
 Under CW pumping, the number of photon pairs collected within one
 detection window is Poisson distributed with mean ``n_bar``.  Each pair
 is an independent copy of the single-pair state ``rho_0``, and each arm
-has an end-to-end transmittance ``eta_A`` / ``eta_B``.  For a projection
-pair (psi_i, psi_j) the per-pair click pattern probabilities are
+has an end-to-end transmittance ``eta_A`` / ``eta_B``.  The model reads
+``rho_0`` through its Pauli components
 
-    p11 = eA eB <ij|rho0|ij>
-    p10 = eA eB <ij_perp|rho0|ij_perp> + eA (1-eB) <i|rhoA|i>
-    p01 = eA eB <i_perp j|rho0|i_perp j> + (1-eA) eB <j|rhoB|j>
-    p00 = eA eB <i_perp j_perp|...> + eA (1-eB) <i_perp|rhoA|i_perp>
-          + (1-eA) eB <j_perp|rhoB|j_perp> + (1-eA)(1-eB)
+    P[mu, nu] = Tr[rho_0 (sigma_mu (x) sigma_nu)],   mu, nu in {I, x, y, z}.
+
+For projections along the Bloch vectors a (Alice) and b (Bob), write
+x_bar = (1, x).  Before loss, the photons project onto a and b jointly
+with probability (a_bar P b_bar)/4 and singly with the marginal
+probabilities m_A = (a_bar . P[:, 0])/2 and m_B = (P[0, :] . b_bar)/2.
+The per-pair click pattern probabilities are then
+
+    p11 = eA eB (a_bar P b_bar) / 4
+    p10 = eA m_A - p11
+    p01 = eB m_B - p11
+    p00 = 1 - p11 - p10 - p01
 
 and a window registers a coincidence unless one side stays dark for all
 n pairs.  Summing the Poisson mixture in closed form gives
 
     c = 1 - exp(-n(1-A)) - exp(-n(1-B)) + exp(-n(1-D)),
-    A = p10 + p00, B = p01 + p00, D = p00.
+    A = p10 + p00, B = p01 + p00, D = p00,
+
+where 1 - A = eB m_B, 1 - B = eA m_A and 1 - D = eA m_A + eB m_B - p11
+are the probabilities that Bob clicks, that Alice clicks, and that
+either clicks.
 
 When rho_0 is a Bell state, the maximum-likelihood estimate of the
 effective two-qubit state is the Bell state mixed with white noise of
@@ -34,7 +45,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import metrics
-from .states import _partial_trace, bloch_projector, validate_density_matrix, werner_mix
+from .states import _pauli_components, validate_density_matrix, werner_mix
 
 
 @dataclass(frozen=True)
@@ -53,77 +64,55 @@ class SourceParams:
                 raise ValueError(f"{name} must lie in [0, 1], got {eta}")
 
 
-@dataclass(frozen=True)
-class ClickProbabilities:
-    """Per-pair probabilities of the four click patterns for one projection pair."""
-
-    p11: float
-    p10: float
-    p01: float
-    p00: float
-
-    def __post_init__(self):
-        total = self.p11 + self.p10 + self.p01 + self.p00
-        for name, p in zip(("p11", "p10", "p01", "p00"),
-                           (self.p11, self.p10, self.p01, self.p00)):
-            if not -1e-12 <= p <= 1.0 + 1e-12:
-                raise ValueError(f"{name} out of [0, 1]: {p}")
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"click probabilities must sum to 1, got {total}")
+def _with_identity(bloch) -> np.ndarray:
+    """x -> x_bar = (1, x) along the last axis."""
+    bloch = np.asarray(bloch, dtype=float)
+    return np.concatenate([np.ones(bloch.shape[:-1] + (1,)), bloch], axis=-1)
 
 
-def click_probabilities(rho0: np.ndarray, psi_i, psi_j,
-                        params: SourceParams) -> ClickProbabilities:
-    """Four click-pattern probabilities for projections along Bloch vectors.
+def click_probabilities(rho0: np.ndarray, bloch_a, bloch_b,
+                        params: SourceParams) -> np.ndarray:
+    """Per-pair click-pattern probabilities for projections along Bloch vectors.
 
-    ``psi_i`` and ``psi_j`` are unit Bloch vectors; internally each is
-    converted to the projector (I + x.sigma)/2, and the orthogonal
-    projection uses the antipodal direction -x.
+    ``bloch_a`` and ``bloch_b`` are unit Bloch vectors of shape (..., 3);
+    their leading axes broadcast against each other, so a (36, 3) pair
+    of stacks gives every tomography setting in one call.  Returns an
+    array of shape (..., 4) holding (p11, p10, p01, p00) along the last
+    axis, from the Pauli components of ``rho0`` (module docstring).
     """
-    return _click_probabilities(validate_density_matrix(rho0, name="rho0"), psi_i, psi_j, params)
-
-
-def _click_probabilities(rho0: np.ndarray, psi_i, psi_j,
-                         params: SourceParams) -> ClickProbabilities:
-    """``click_probabilities`` for a ``rho0`` the caller has already validated."""
+    pauli = _pauli_components(validate_density_matrix(rho0, name="rho0"))
+    a_bar = _with_identity(bloch_a)
+    b_bar = _with_identity(bloch_b)
     ea, eb = params.eta_a, params.eta_b
-    pi = bloch_projector(psi_i)
-    pj = bloch_projector(psi_j)
-    pi_perp = np.eye(2) - pi
-    pj_perp = np.eye(2) - pj
-    rho_a = _partial_trace(rho0, "A")
-    rho_b = _partial_trace(rho0, "B")
-
-    def joint(a, b):
-        return np.trace(rho0 @ np.kron(a, b)).real
-
-    def single(red, a):
-        return np.trace(red @ a).real
-
-    p11 = ea * eb * joint(pi, pj)
-    p10 = ea * eb * joint(pi, pj_perp) + ea * (1.0 - eb) * single(rho_a, pi)
-    p01 = ea * eb * joint(pi_perp, pj) + (1.0 - ea) * eb * single(rho_b, pj)
-    p00 = (ea * eb * joint(pi_perp, pj_perp)
-           + ea * (1.0 - eb) * single(rho_a, pi_perp)
-           + (1.0 - ea) * eb * single(rho_b, pj_perp)
-           + (1.0 - ea) * (1.0 - eb))
-    return ClickProbabilities(p11=p11, p10=p10, p01=p01, p00=p00)
+    p11 = ea * eb * np.sum((a_bar @ pauli) * b_bar, axis=-1) / 4.0
+    p10 = ea * (a_bar @ pauli[:, 0]) / 2.0 - p11
+    p01 = eb * (b_bar @ pauli[0, :]) / 2.0 - p11
+    p00 = 1.0 - p11 - p10 - p01
+    return np.stack([p11, p10, p01, p00], axis=-1)
 
 
-def coincidence_probability(cp: ClickProbabilities, n_bar: float) -> float:
+def coincidence_probability(probs, n_bar: float) -> np.ndarray:
     """Probability of a coincidence per window, Poisson mixture in closed form.
 
+    ``probs`` has shape (..., 4) with (p11, p10, p01, p00) along the last
+    axis; the result has shape ``probs.shape[:-1]``.  Each probability
+    must lie in [0, 1] and each row must sum to 1, both within 1e-12.
     Equals the series sum_n P(n; n_bar) [1 - A^n - B^n + D^n]; the
     grouped expm1 form below avoids cancellation at small n_bar.
     """
     if n_bar < 0.0:
         raise ValueError(f"n_bar must be nonnegative, got {n_bar}")
-    a = cp.p10 + cp.p00
-    b = cp.p01 + cp.p00
-    d = cp.p00
-    # c = (1 - e^{-n(1-A)}) - (e^{-n(1-B)} - e^{-n(1-D)})
-    return (-math.expm1(-n_bar * (1.0 - a))
-            - math.exp(-n_bar * (1.0 - d)) * math.expm1(n_bar * cp.p01))
+    probs = np.asarray(probs, dtype=float)
+    if probs.shape[-1:] != (4,):
+        raise ValueError(f"probs must have shape (..., 4), got {probs.shape}")
+    if not np.all((probs >= -1e-12) & (probs <= 1.0 + 1e-12)):
+        raise ValueError("click probabilities must lie in [0, 1]")
+    if not np.all(np.abs(probs.sum(axis=-1) - 1.0) <= 1e-12):
+        raise ValueError("click probabilities must sum to 1")
+    p11, p10, p01, _ = np.moveaxis(probs, -1, 0)
+    # c = (1 - e^{-n(1-A)}) - (e^{-n(1-B)} - e^{-n(1-D)}), 1 - A = p11 + p01
+    return (-np.expm1(-n_bar * (p11 + p01))
+            - np.exp(-n_bar * (p11 + p10 + p01)) * np.expm1(n_bar * p01))
 
 
 def kappa_exact(n_bar: float, eta_a: float, eta_b: float) -> float:

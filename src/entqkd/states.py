@@ -63,12 +63,13 @@ BELL_LABELS = ("phi+", "phi-", "psi+", "psi-")
 
 MAXIMALLY_MIXED = np.eye(4, dtype=complex) / 4.0
 
-# T.reshape(9) = _PAULI_PAIRS_REAL @ rho.reshape(16).view(float) for Hermitian rho
-_PAULI_PAIRS_REAL = np.ascontiguousarray(
-    [np.kron(a, b).reshape(16) for a in (_SIGMA_X, _SIGMA_Y, _SIGMA_Z)
-     for b in (_SIGMA_X, _SIGMA_Y, _SIGMA_Z)]).view(np.float64)
+# P.reshape(16) = _PAULI_TABLE_REAL @ rho.reshape(16).view(float) for Hermitian rho,
+# with P[mu, nu] = Tr[rho (sigma_mu (x) sigma_nu)] and mu, nu running over I, x, y, z
+_PAULI_TABLE_REAL = np.ascontiguousarray(
+    [np.kron(a, b).reshape(16) for a in (_I2, _SIGMA_X, _SIGMA_Y, _SIGMA_Z)
+     for b in (_I2, _SIGMA_X, _SIGMA_Y, _SIGMA_Z)]).view(np.float64)
 
-for _arr in (_I2, _SIGMA_X, _SIGMA_Y, _SIGMA_Z, MAXIMALLY_MIXED, _PAULI_PAIRS_REAL,
+for _arr in (_I2, _SIGMA_X, _SIGMA_Y, _SIGMA_Z, MAXIMALLY_MIXED, _PAULI_TABLE_REAL,
              *POLARIZATION_KETS.values(), *POLARIZATION_BLOCH.values()):
     _arr.flags.writeable = False
 
@@ -155,12 +156,7 @@ def werner_mix(rho_b: np.ndarray, kappa: float) -> np.ndarray:
 
 def partial_trace(rho: np.ndarray, keep: str) -> np.ndarray:
     """Reduced one-qubit state, tracing out Bob (keep="A") or Alice (keep="B")."""
-    return _partial_trace(validate_density_matrix(rho), keep)
-
-
-def _partial_trace(rho: np.ndarray, keep: str) -> np.ndarray:
-    """``partial_trace`` for a state the caller has already validated."""
-    r4 = rho.reshape(2, 2, 2, 2)
+    r4 = validate_density_matrix(rho).reshape(2, 2, 2, 2)
     if keep == "A":
         return np.einsum("ikjk->ij", r4)
     if keep == "B":
@@ -186,6 +182,17 @@ class CorrelationAnalysis:
             arr.flags.writeable = False
 
 
+def _pauli_components(rho: np.ndarray) -> np.ndarray:
+    """Real 4x4 P[mu, nu] = Tr[rho (sigma_mu (x) sigma_nu)], mu, nu over I, x, y, z.
+
+    ``rho`` must be Hermitian (the caller validates it).  P[0, 0] is the
+    trace, P[1:, 0] and P[0, 1:] are Alice's and Bob's Bloch vectors, and
+    P[1:, 1:] is the correlation tensor T.
+    """
+    flat = np.ascontiguousarray(rho, dtype=complex).reshape(16).view(np.float64)
+    return (_PAULI_TABLE_REAL @ flat).reshape(4, 4)
+
+
 def _fix_sign(vec: np.ndarray) -> np.ndarray:
     for comp in vec:
         if abs(comp) > 1e-12:
@@ -203,8 +210,7 @@ def correlation_analysis(rho: np.ndarray) -> CorrelationAnalysis:
         positive semidefinite and, for a state, no eigenvalue exceeds 1,
         so only roundoff lies outside.
     """
-    rho = np.ascontiguousarray(validate_density_matrix(rho))
-    tensor = (_PAULI_PAIRS_REAL @ rho.reshape(16).view(np.float64)).reshape(3, 3)
+    tensor = _pauli_components(validate_density_matrix(rho))[1:, 1:]
     matrix_u = tensor.T @ tensor
     vals, vecs = np.linalg.eigh(matrix_u)
     order = np.argsort(vals)[::-1]

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import metrics
 from .numeric import golden_section_max
-from .spdc import (ModelPoint, SourceParams, _click_probabilities, coincidence_probability,
+from .spdc import (ModelPoint, SourceParams, click_probabilities, coincidence_probability,
                    coincidence_rate_exact)
 from .states import (POLARIZATION_BLOCH, POLARIZATION_KETS, ket_to_dm,
                      validate_density_matrix)
@@ -92,7 +92,8 @@ class TomographySettings:
 
     def born_probabilities(self, rho: np.ndarray) -> np.ndarray:
         """<psi_k| rho |psi_k> for all 36 settings."""
-        return np.einsum("kij,ji->k", self.projectors, rho).real
+        flat = np.ascontiguousarray(rho, dtype=complex).reshape(16).view(np.float64)
+        return self.projectors_real @ flat
 
 
 @dataclass(frozen=True)
@@ -169,13 +170,9 @@ class UncertaintyReport:
 
 def synthesize_frequencies(rho0: np.ndarray, params: SourceParams,
                            settings: TomographySettings) -> np.ndarray:
-    """Model coincidence probability for every projection pair."""
-    rho0 = validate_density_matrix(rho0, name="rho0")  # once, not per setting
-    out = np.empty(36)
-    for k in range(36):
-        cp = _click_probabilities(rho0, settings.bloch_a[k], settings.bloch_b[k], params)
-        out[k] = coincidence_probability(cp, params.n_bar)
-    return out
+    """Model coincidence probability for every projection pair, shape (36,)."""
+    return coincidence_probability(
+        click_probabilities(rho0, settings.bloch_a, settings.bloch_b, params), params.n_bar)
 
 
 def _check_frequencies(frequencies) -> np.ndarray:

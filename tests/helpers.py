@@ -277,3 +277,36 @@ def analyzer_projector(theta_q: float, theta_h: float) -> np.ndarray:
 def bloch_projector_direct(x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     return (np.eye(2, dtype=complex) + bloch_operator(x)) / 2.0
+
+
+def click_probabilities_direct(rho: np.ndarray, a, b, eta_a: float,
+                               eta_b: float) -> tuple[float, float, float, float]:
+    """(p11, p10, p01, p00) summed over which photons survive, term by term.
+
+    Joint projections use fresh Kronecker products of the projectors and
+    their complements; a lone surviving photon is projected with the
+    reduced state from an explicit partial trace.
+    """
+    pa, pb = bloch_projector_direct(a), bloch_projector_direct(b)
+    pa_perp, pb_perp = np.eye(2) - pa, np.eye(2) - pb
+    rho_a = np.zeros((2, 2), dtype=complex)
+    rho_b = np.zeros((2, 2), dtype=complex)
+    for i in range(2):
+        for j in range(2):
+            for k in range(2):
+                rho_a[i, j] += rho[2 * i + k, 2 * j + k]
+                rho_b[i, j] += rho[2 * k + i, 2 * k + j]
+
+    def joint(x, y):
+        return np.trace(rho @ np.kron(x, y)).real
+
+    def single(red, x):
+        return np.trace(red @ x).real
+
+    both, only_a, only_b = eta_a * eta_b, eta_a * (1.0 - eta_b), (1.0 - eta_a) * eta_b
+    p11 = both * joint(pa, pb)
+    p10 = both * joint(pa, pb_perp) + only_a * single(rho_a, pa)
+    p01 = both * joint(pa_perp, pb) + only_b * single(rho_b, pb)
+    p00 = (both * joint(pa_perp, pb_perp) + only_a * single(rho_a, pa_perp)
+           + only_b * single(rho_b, pb_perp) + (1.0 - eta_a) * (1.0 - eta_b))
+    return p11, p10, p01, p00

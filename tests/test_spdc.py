@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 import helpers
-from entqkd import (ClickProbabilities, SourceParams, bell_state, chsh_max,
+from entqkd import (SourceParams, TomographySettings, bell_state, chsh_max,
                     click_probabilities, coincidence_probability,
                     coincidence_rate_exact, effective_state, fidelity,
-                    kappa_approx, kappa_exact, model_curve, werner_mix)
+                    kappa_approx, kappa_exact, model_curve,
+                    synthesize_frequencies, werner_mix)
 from entqkd.states import POLARIZATION_BLOCH
 
 H = POLARIZATION_BLOCH["H"]
@@ -33,39 +34,69 @@ class TestSourceParams:
 class TestClickProbabilities:
     def test_bell_parallel_projection_lossless(self):
         cp = click_probabilities(bell_state("phi+"), H, H, SourceParams(0.1, 1.0, 1.0))
-        assert (cp.p11, cp.p10, cp.p01, cp.p00) == pytest.approx((0.5, 0, 0, 0.5), abs=1e-12)
+        assert tuple(cp) == pytest.approx((0.5, 0, 0, 0.5), abs=1e-12)
 
     def test_everything_lost(self):
         cp = click_probabilities(bell_state("phi+"), H, V, SourceParams(0.1, 0.0, 0.0))
-        assert (cp.p11, cp.p10, cp.p01, cp.p00) == pytest.approx((0, 0, 0, 1), abs=1e-12)
+        assert tuple(cp) == pytest.approx((0, 0, 0, 1), abs=1e-12)
 
     def test_asymmetric_loss_crossed_projection(self):
         # evaluated from the four click-pattern formulas directly: the lossy
         # Bob arm turns half of the would-be p01/p00 weight into p10
-        cp = click_probabilities(bell_state("phi+"), H, V, SourceParams(0.1, 1.0, 0.5))
-        assert cp.p11 == pytest.approx(0.0, abs=1e-12)
-        assert cp.p10 == pytest.approx(0.5, abs=1e-12)
-        assert cp.p01 == pytest.approx(0.25, abs=1e-12)
-        assert cp.p00 == pytest.approx(0.25, abs=1e-12)
+        p11, p10, p01, p00 = click_probabilities(bell_state("phi+"), H, V,
+                                                 SourceParams(0.1, 1.0, 0.5))
+        assert p11 == pytest.approx(0.0, abs=1e-12)
+        assert p10 == pytest.approx(0.5, abs=1e-12)
+        assert p01 == pytest.approx(0.25, abs=1e-12)
+        assert p00 == pytest.approx(0.25, abs=1e-12)
 
     def test_sum_to_one_on_random_inputs(self, rng):
         for _ in range(30):
             rho = helpers.random_density_matrix(rng, rank=int(rng.integers(1, 5)))
             params = SourceParams(n_bar=rng.uniform(0, 2),
                                   eta_a=rng.uniform(0, 1), eta_b=rng.uniform(0, 1))
-            cp = click_probabilities(rho, helpers.random_unit_vector(rng),
-                                     helpers.random_unit_vector(rng), params)
-            assert cp.p11 + cp.p10 + cp.p01 + cp.p00 == pytest.approx(1.0, abs=1e-12)
+            p11, p10, p01, p00 = click_probabilities(rho, helpers.random_unit_vector(rng),
+                                                     helpers.random_unit_vector(rng), params)
+            assert p11 + p10 + p01 + p00 == pytest.approx(1.0, abs=1e-12)
 
     def test_type_guards(self):
         with pytest.raises(ValueError):
-            ClickProbabilities(p11=0.6, p10=0.3, p01=0.2, p00=0.1)
+            coincidence_probability([0.6, 0.3, 0.2, 0.1], 0.1)
+
+    def test_stacked_settings_match_direct_oracle(self, rng):
+        # transmittances include both ends of [0, 1] exactly
+        etas = [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0), (0.0, 0.37), (1.0, 0.62)]
+        worst = 0.0
+        for rank in (1, 2, 3, 4):
+            for eta_a, eta_b in etas + [tuple(rng.uniform(0, 1, size=2)) for _ in range(4)]:
+                rho = helpers.random_density_matrix(rng, rank=rank)
+                a = np.array([helpers.random_unit_vector(rng) for _ in range(25)])
+                b = np.array([helpers.random_unit_vector(rng) for _ in range(25)])
+                probs = click_probabilities(rho, a, b, SourceParams(0.1, eta_a, eta_b))
+                assert probs.shape == (25, 4)
+                for k in range(25):
+                    direct = helpers.click_probabilities_direct(rho, a[k], b[k], eta_a, eta_b)
+                    worst = max(worst, np.max(np.abs(probs[k] - direct)))
+        assert worst <= 1e-14
+
+    def test_synthesized_frequencies_match_series_oracle(self, rng):
+        settings = TomographySettings.canonical()
+        for rank in (1, 2, 3, 4):
+            for _ in range(5):
+                rho = helpers.random_density_matrix(rng, rank=rank)
+                params = SourceParams(n_bar=rng.uniform(0, 2),
+                                      eta_a=rng.uniform(0, 1), eta_b=rng.uniform(0, 1))
+                freqs = synthesize_frequencies(rho, params, settings)
+                for k in range(36):
+                    direct = helpers.click_probabilities_direct(
+                        rho, settings.bloch_a[k], settings.bloch_b[k], params.eta_a, params.eta_b)
+                    series = helpers.coincidence_series(*direct, params.n_bar)
+                    assert freqs[k] == pytest.approx(series, abs=1e-14)
 
 
 class TestCoincidenceProbability:
     def test_no_pairs_no_coincidences(self):
-        cp = ClickProbabilities(p11=0.25, p10=0.25, p01=0.25, p00=0.25)
-        assert coincidence_probability(cp, 0.0) == 0.0
+        assert coincidence_probability([0.25, 0.25, 0.25, 0.25], 0.0) == 0.0
 
     def test_bell_lossless_closed_form(self):
         cp = click_probabilities(bell_state("phi+"), H, H, SourceParams(0.1, 1.0, 1.0))
@@ -74,17 +105,23 @@ class TestCoincidenceProbability:
         assert coincidence_probability(cp, 0.1) == pytest.approx(0.0487706, abs=1e-7)
 
     def test_matches_poisson_series(self, rng):
+        rows = []
         for _ in range(200):
             probs = rng.dirichlet(np.ones(4))
-            cp = ClickProbabilities(*probs)
             n_bar = rng.uniform(0.0, 5.0)
+            rows.append(probs)
             series = helpers.coincidence_series(*probs, n_bar)
-            assert coincidence_probability(cp, n_bar) == pytest.approx(series, abs=1e-12)
+            assert coincidence_probability(probs, n_bar) == pytest.approx(series, abs=1e-12)
+        # the same 200 rows as one (200, 4) array, at the last draw's gain
+        stacked = coincidence_probability(np.array(rows), n_bar)
+        assert stacked.shape == (200,)
+        expected = [helpers.coincidence_series(*probs, n_bar) for probs in rows]
+        assert np.max(np.abs(stacked - expected)) <= 1e-12
 
     def test_first_order_taylor(self):
         cp = click_probabilities(bell_state("phi+"), H, H, SourceParams(1e-6, 1.0, 1.0))
         c = coincidence_probability(cp, 1e-6)
-        assert abs(c - 1e-6 * cp.p11) / c < 1e-4
+        assert abs(c - 1e-6 * cp[0]) / c < 1e-4
 
 
 class TestKappa:
