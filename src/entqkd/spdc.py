@@ -91,17 +91,21 @@ def click_probabilities(rho0: np.ndarray, bloch_a, bloch_b,
     return np.stack([p11, p10, p01, p00], axis=-1)
 
 
-def coincidence_probability(probs, n_bar: float) -> np.ndarray:
+def coincidence_probability(probs, n_bar) -> np.ndarray:
     """Probability of a coincidence per window, Poisson mixture in closed form.
 
     ``probs`` has shape (..., 4) with (p11, p10, p01, p00) along the last
-    axis; the result has shape ``probs.shape[:-1]``.  Each probability
-    must lie in [0, 1] and each row must sum to 1, both within 1e-12.
-    Equals the series sum_n P(n; n_bar) [1 - A^n - B^n + D^n]; the
-    grouped expm1 form below avoids cancellation at small n_bar.
+    axis.  ``n_bar`` is a scalar or an array that broadcasts against
+    ``probs.shape[:-1]``, so ``coincidence_probability(probs, grid[:, None])``
+    gives every gain of a grid for a (36, 4) ``probs`` in one call; the
+    result has the broadcast shape.  Each probability must lie in [0, 1]
+    and each row must sum to 1, both within 1e-12.  Equals the series
+    sum_n P(n; n_bar) [1 - A^n - B^n + D^n]; the grouped expm1 form below
+    avoids cancellation at small n_bar.
     """
-    if n_bar < 0.0:
-        raise ValueError(f"n_bar must be nonnegative, got {n_bar}")
+    n_bar = np.asarray(n_bar, dtype=float)
+    if np.any(n_bar < 0.0):
+        raise ValueError(f"n_bar must be nonnegative, got {n_bar.min()}")
     probs = np.asarray(probs, dtype=float)
     if probs.shape[-1:] != (4,):
         raise ValueError(f"probs must have shape (..., 4), got {probs.shape}")

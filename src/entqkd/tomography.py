@@ -411,7 +411,7 @@ def monte_carlo_uncertainty(ds: TomographyDataset, samples: int, seed: int,
 
     Reconstructions start from the base dataset's estimate softened with
     a small admixture of the maximally mixed state; any full-rank start
-    reaches the same maximizer, this one just reaches it sooner.
+    reaches the same maximizer.
     """
     if samples < 2:
         raise ValueError(f"need at least 2 Monte-Carlo samples, got {samples}")
@@ -443,14 +443,37 @@ def mle_curve(rho0: np.ndarray, eta_a: float, eta_b: float, n_bar_grid) -> list[
     The kappa column reports the effective white-noise weight inferred
     from the achieved S, 1 - S / (2 sqrt(2)); for mixture-family states
     this coincides with the mixing weight.
+
+    Every grid value must be positive: a zero gain gives no coincidences
+    to reconstruct from.  The frequencies of all grid points come from
+    one array evaluation of the source model.  The points are fitted in
+    grid order, and each fit after the first starts from the previous
+    point's state with a 1e-6 admixture of the maximally mixed state,
+    which takes fewer iterations than a start from I/4.  A point's last
+    digits (about 1e-9 in S) therefore depend on the grid before it; the
+    same inputs still give identical output.
     """
+    grid = np.asarray(n_bar_grid, dtype=float)
+    bad = grid[~(grid > 0.0)]
+    if bad.size:
+        raise ValueError(f"the pipeline curve needs n_bar > 0, got n_bar = {float(bad[0])!r}: "
+                         "a zero gain gives no coincidences to reconstruct from")
     settings = TomographySettings.canonical()
+    # the click probabilities depend on the transmittances only
+    probs = click_probabilities(rho0, settings.bloch_a, settings.bloch_b,
+                                SourceParams(n_bar=0.0, eta_a=eta_a, eta_b=eta_b))
+    frequencies = coincidence_probability(probs, grid[:, None])
     points = []
-    for n_bar in n_bar_grid:
-        params = SourceParams(n_bar=float(n_bar), eta_a=eta_a, eta_b=eta_b)
-        rho = mle_reconstruct(synthesize_frequencies(rho0, params, settings), settings).rho
+    rho_start = None
+    for n_bar, freqs in zip(grid.tolist(), frequencies):
+        rho = mle_reconstruct(freqs, settings, rho_start=rho_start).rho
+        # every projector gives I/4 the probability 1/4, so each Born
+        # probability of the next start is at least 2.5e-7: a setting that
+        # gets counts only at the next gain cannot trip mle_reconstruct's
+        # zero-probability check on rho_start
+        rho_start = (1.0 - 1e-6) * rho + 1e-6 * _EYE4 / 4.0
         r_c = coincidence_rate_exact(n_bar, eta_a, eta_b)
         qkd = metrics.QkdMetrics.from_state(rho, r_c)
-        points.append(ModelPoint(n_bar=float(n_bar), kappa=1.0 - qkd.s / metrics.TSIRELSON,
+        points.append(ModelPoint(n_bar=n_bar, kappa=1.0 - qkd.s / metrics.TSIRELSON,
                                  s=qkd.s, q=qkd.q, r_dw=qkd.r_dw, r_c=r_c, r_key=qkd.r_key))
     return points

@@ -111,6 +111,18 @@ class TestModel:
         # at tiny gain the curve starts from the single-pair state itself
         assert first[1] == pytest.approx(0.02, abs=2e-3)  # kappa column
 
+    def test_rho0_pipeline_rejects_zero_gain(self, tmp_path, capsys):
+        rho_path = tmp_path / "w.json"
+        rho_path.write_text(canonical_json(density_matrix_to_json(
+            werner_mix(bell_state("phi+"), 0.005))))
+        assert main(["model", "--eta", "0.16", "--nbar-grid", "0:0.1:5",
+                     "--rho0-file", str(rho_path), "--out", str(tmp_path / "c.csv")]) == 2
+        err = capsys.readouterr().err.strip().split("\n")
+        assert err[-1].startswith("error: ") and "n_bar = 0.0" in err[-1]
+        # the closed-form curve has an n_bar = 0 row on the same grid
+        assert main(["model", "--eta", "0.16", "--nbar-grid", "0:0.1:5",
+                     "--out", str(tmp_path / "c.csv")]) == 0
+
     def test_log_grid(self, tmp_path):
         out = tmp_path / "curve.csv"
         assert main(["model", "--eta", "0.5", "--nbar-grid", "1e-4:0.1:7", "--log",

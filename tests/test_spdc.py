@@ -118,6 +118,27 @@ class TestCoincidenceProbability:
         expected = [helpers.coincidence_series(*probs, n_bar) for probs in rows]
         assert np.max(np.abs(stacked - expected)) <= 1e-12
 
+    def test_gain_grid_broadcasts(self, rng):
+        settings = TomographySettings.canonical()
+        grid = np.concatenate([[0.0], np.geomspace(1e-4, 2.0, 30)])
+        for rank in (1, 2, 3, 4):
+            rho = helpers.random_density_matrix(rng, rank=rank)
+            eta_a, eta_b = rng.uniform(0, 1, size=2)
+            probs = click_probabilities(rho, settings.bloch_a, settings.bloch_b,
+                                        SourceParams(0.0, eta_a, eta_b))
+            table = coincidence_probability(probs, grid[:, None])
+            assert table.shape == (grid.size, 36)
+            stacked = np.array([coincidence_probability(probs, n_bar) for n_bar in grid])
+            assert np.array_equal(table, stacked)
+            series = [[helpers.coincidence_series(*row, n_bar) for row in probs]
+                      for n_bar in grid]
+            assert np.max(np.abs(table - series)) <= 1e-12
+
+    def test_negative_gain_in_array_rejected(self):
+        probs = np.array([0.25, 0.25, 0.25, 0.25])
+        with pytest.raises(ValueError, match="n_bar must be nonnegative"):
+            coincidence_probability(probs, np.array([[0.1], [-1e-3], [0.2]]))
+
     def test_first_order_taylor(self):
         cp = click_probabilities(bell_state("phi+"), H, H, SourceParams(1e-6, 1.0, 1.0))
         c = coincidence_probability(cp, 1e-6)

@@ -7,8 +7,8 @@ import helpers
 from entqkd import (SourceParams, TomographyDataset, TomographySettings,
                     bell_state, chsh_max, coincidence_rate_exact,
                     coincidence_rate_from_counts, fidelity, fit_kappa,
-                    kappa_exact, mle_reconstruct, monte_carlo_uncertainty,
-                    synthesize_frequencies, werner_mix)
+                    evaluate_state, kappa_exact, mle_curve, mle_reconstruct,
+                    monte_carlo_uncertainty, synthesize_frequencies, werner_mix)
 from entqkd.metrics import TSIRELSON
 
 SETTINGS = TomographySettings.canonical()
@@ -180,6 +180,62 @@ class TestCertificate:
         counts = SETTINGS.born_probabilities(werner_mix(PHI_PLUS, 0.1))
         with pytest.raises(ValueError):
             mle_reconstruct(counts, SETTINGS, rho_start=PHI_PLUS)
+
+
+class TestMleCurve:
+    """The warm-started pipeline curve against cold fits of each grid point."""
+
+    @staticmethod
+    def cold_fits(rho0, eta_a, eta_b, grid):
+        fits = [mle_reconstruct(synthesize_frequencies(rho0, SourceParams(n, eta_a, eta_b),
+                                                       SETTINGS), SETTINGS) for n in grid]
+        return fits, np.array([evaluate_state(fit.rho)[:2] for fit in fits])
+
+    @pytest.mark.parametrize("case", ["compare_default", "rank_deficient"])
+    def test_matches_cold_fits(self, case, monkeypatch):
+        import entqkd.tomography as tomo
+        if case == "compare_default":
+            rho0 = werner_mix(PHI_PLUS, 1.0 - 2.815 / TSIRELSON)
+            eta_a = eta_b = 0.16
+            grid = np.geomspace(1e-4, 0.2, 80)
+        else:
+            rho0 = PHI_PLUS.copy()
+            rho0[0, 3] *= 0.9
+            rho0[3, 0] *= 0.9
+            eta_a, eta_b = 0.8, 0.3
+            grid = np.geomspace(1e-3, 0.15, 40)
+        cold, cold_sq = self.cold_fits(rho0, eta_a, eta_b, grid)
+
+        warm_iterations = []
+        real = tomo.mle_reconstruct
+
+        def recorded(frequencies, settings, **kwargs):
+            result = real(frequencies, settings, **kwargs)
+            warm_iterations.append(result.iterations)
+            return result
+
+        monkeypatch.setattr(tomo, "mle_reconstruct", recorded)
+        points = mle_curve(rho0, eta_a, eta_b, grid)
+        assert [pt.n_bar for pt in points] == grid.tolist()
+        warm_sq = np.array([(pt.s, pt.q) for pt in points])
+        assert np.max(np.abs(warm_sq - cold_sq)) <= 1e-8
+        assert sum(warm_iterations) < sum(fit.iterations for fit in cold)
+
+    def test_repeatable(self):
+        rho0 = werner_mix(PHI_PLUS, 0.05)
+        grid = np.geomspace(1e-3, 0.1, 12)
+        assert mle_curve(rho0, 0.7, 0.4, grid) == mle_curve(rho0, 0.7, 0.4, grid)
+
+    @pytest.mark.parametrize("grid", [[0.0, 0.05], [0.05, 0.0], [0.02, -0.01]])
+    def test_rejects_nonpositive_gain(self, grid, monkeypatch):
+        import entqkd.tomography as tomo
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a fit ran before the grid was checked")
+
+        monkeypatch.setattr(tomo, "mle_reconstruct", no_fit)
+        with pytest.raises(ValueError, match=r"n_bar = (0\.0|-0\.01).*no coincidences"):
+            mle_curve(PHI_PLUS, 0.5, 0.5, grid)
 
 
 class TestFitKappa:
