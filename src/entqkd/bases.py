@@ -109,21 +109,15 @@ def optimal_bases(rho: np.ndarray, ordering: str = "alice_first") -> BasisSet:
         u2 /= np.linalg.norm(u2)
         weight2 = math.sqrt(lam[1] / (lam[0] + lam[1]))
     else:
-        u2 = np.zeros(3)
-        weight2 = 0.0
+        u2, weight2 = u1, 0.0
 
-    if ordering == "alice_first":
-        a0 = u1
-        chsh_plus = weight1 * u1 + weight2 * u2
-        chsh_minus = weight1 * u1 - weight2 * u2
-        b1, b2 = e1, e2
-    else:
-        a0 = e1
-        chsh_plus = weight1 * e1 + weight2 * e2
-        chsh_minus = weight1 * e1 - weight2 * e2
-        b1 = u1
-        b2 = u2 if lam[1] > _DEGENERATE_TOL else u1
-    return BasisSet(a0=a0,
+    # (u1, u2) belong to the tensor's first mode and (e1, e2) to its second;
+    # a0, a1, a2 are built from Alice's pair (k1, k2), and b1, b2 are Bob's
+    pairs = ((u1, u2), (e1, e2))
+    (k1, k2), (b1, b2) = pairs if ordering == "alice_first" else pairs[::-1]
+    chsh_plus = weight1 * k1 + weight2 * k2
+    chsh_minus = weight1 * k1 - weight2 * k2
+    return BasisSet(a0=k1,
                     a1=chsh_plus / np.linalg.norm(chsh_plus),
                     a2=chsh_minus / np.linalg.norm(chsh_minus),
                     b1=b1, b2=b2, ordering=ordering)

@@ -35,6 +35,7 @@ EXIT_NO_CONVERGENCE = 3
 
 _DEFAULT_GRID = "0.001:0.2:120"
 _DEFAULT_S_TARGET = 2.815
+_DEFAULT_COMPARE_ETA = 0.16
 
 
 def _parse_grid(spec: str, log: bool) -> np.ndarray:
@@ -262,11 +263,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"entqkd {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_eta_flags(p):
+    def add_eta_flags(p, default=1.0):
         p.add_argument("--eta", type=float, default=None,
-                       help="symmetric transmittance for both arms")
-        p.add_argument("--eta-a", type=float, default=None, help="Alice-arm transmittance")
-        p.add_argument("--eta-b", type=float, default=None, help="Bob-arm transmittance")
+                       help=f"symmetric transmittance for both arms (default {default} "
+                            "when no transmittance flag is given)")
+        p.add_argument("--eta-a", type=float, default=None,
+                       help="Alice-arm transmittance (1.0 when only --eta-b is given)")
+        p.add_argument("--eta-b", type=float, default=None,
+                       help="Bob-arm transmittance (1.0 when only --eta-a is given)")
 
     p = sub.add_parser("reconstruct", help="MLE reconstruction and QKD report")
     p.add_argument("dataset", help="dataset JSON file")
@@ -300,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bases)
 
     p = sub.add_parser("compare", help="CW bound vs single-pair sources, CSV series")
-    add_eta_flags(p)
+    add_eta_flags(p, _DEFAULT_COMPARE_ETA)
     p.add_argument("--nbar-grid", default="1e-4:0.2:80", metavar="START:STOP:STEPS")
     p.add_argument("--s-target", type=float, default=_DEFAULT_S_TARGET,
                    help="CHSH value the default surrogate single-pair state matches")
@@ -321,7 +325,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "compare" and args.eta is None and args.eta_a is None \
             and args.eta_b is None:
-        args.eta = 0.16
+        args.eta = _DEFAULT_COMPARE_ETA
     try:
         return args.func(args)
     except (dataio.DatasetFormatError, ValueError, OSError) as exc:

@@ -14,6 +14,7 @@ row-major H, V, D, A, R, L order.  Density matrices serialize as
 from __future__ import annotations
 
 import json
+import sys
 
 import numpy as np
 
@@ -55,8 +56,9 @@ def dataset_from_dict(obj: dict) -> TomographyDataset:
     for key in ("tau_s", "duration_s"):
         if not isinstance(obj[key], (int, float)) or isinstance(obj[key], bool):
             raise DatasetFormatError("must be a number", field=key)
-        if obj[key] <= 0:
-            raise DatasetFormatError("must be positive", field=key)
+        # NaN fails both comparisons; the upper one also refuses integers beyond float range
+        if not 0 < obj[key] <= sys.float_info.max:
+            raise DatasetFormatError("must be positive and finite", field=key)
     measurements = obj["measurements"]
     if not isinstance(measurements, list) or len(measurements) != 36:
         raise DatasetFormatError("must be a list of exactly 36 entries", field="measurements")

@@ -129,7 +129,7 @@ def bell_state(kind: str) -> np.ndarray:
 
 
 def validate_density_matrix(rho, dim: int = 4, name: str = "rho") -> np.ndarray:
-    """Check Hermiticity, unit trace, and positivity; return as complex array.
+    """Check finiteness, Hermiticity, unit trace, and positivity; return as complex array.
 
     Eigenvalues are allowed to dip to -1e-10 (tomography and Monte-Carlo
     perturbations produce tiny negatives); anything lower is rejected.
@@ -137,9 +137,12 @@ def validate_density_matrix(rho, dim: int = 4, name: str = "rho") -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (dim, dim):
         raise ValueError(f"{name} must be a {dim}x{dim} matrix, got shape {rho.shape}")
+    if not np.isfinite(rho).all():
+        raise ValueError(f"{name} has non-finite entries")
     if np.max(np.abs(rho - rho.conj().T)) > HERMITICITY_TOL:
         raise ValueError(f"{name} is not Hermitian within {HERMITICITY_TOL}")
-    if abs(np.trace(rho).real - 1.0) > TRACE_TOL or abs(np.trace(rho).imag) > TRACE_TOL:
+    trace = np.trace(rho)
+    if abs(trace.real - 1.0) > TRACE_TOL or abs(trace.imag) > TRACE_TOL:
         raise ValueError(f"{name} does not have unit trace")
     if np.linalg.eigvalsh(rho).min() < PSD_TOL:
         raise ValueError(f"{name} has an eigenvalue below {PSD_TOL}")

@@ -116,10 +116,9 @@ class TomographyDataset:
         counts = counts.astype(np.int64)
         counts.flags.writeable = False
         object.__setattr__(self, "counts", counts)
-        if not self.tau_s > 0.0:
-            raise ValueError(f"tau_s must be positive, got {self.tau_s}")
-        if not self.duration_s > 0.0:
-            raise ValueError(f"duration_s must be positive, got {self.duration_s}")
+        for name, value in (("tau_s", self.tau_s), ("duration_s", self.duration_s)):
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.duration_s < self.tau_s:
             raise ValueError("duration_s must be at least tau_s (need N_win >= 1)")
 
@@ -375,6 +374,12 @@ def fit_kappa(frequencies, settings: TomographySettings, rho_b: np.ndarray) -> f
     return float(min(max(kappa, 0.0), 1.0))
 
 
+def _quadruple_sums(counts, settings: TomographySettings) -> np.ndarray:
+    """Counts summed over each of the 9 complementary quadruples, shape (..., 9)."""
+    one_hot = settings.group_index[:, None] == np.arange(9)
+    return np.asarray(counts, dtype=float) @ one_hot
+
+
 def coincidence_rate_from_counts(ds: TomographyDataset) -> float:
     """Coincidences per window from the 9 complementary quadruple sums.
 
@@ -383,19 +388,7 @@ def coincidence_rate_from_counts(ds: TomographyDataset) -> float:
     the 9 quadruple sums are averaged and divided by the number of
     windows T / tau.
     """
-    sums = np.zeros(9)
-    np.add.at(sums, ds.settings.group_index, ds.counts.astype(float))
-    n_c = sums.mean()
-    return float(n_c / ds.n_windows)
-
-
-def _metrics_from_counts(counts, ds: TomographyDataset, rho_start,
-                         mle_kwargs: dict) -> tuple[metrics.QkdMetrics, bool]:
-    result = mle_reconstruct(counts, ds.settings, rho_start=rho_start, **mle_kwargs)
-    resampled = TomographyDataset(settings=ds.settings, counts=np.asarray(counts, dtype=np.int64),
-                                  tau_s=ds.tau_s, duration_s=ds.duration_s)
-    qkd = metrics.QkdMetrics.from_state(result.rho, coincidence_rate_from_counts(resampled))
-    return qkd, result.converged
+    return float(_quadruple_sums(ds.counts, ds.settings).mean() / ds.n_windows)
 
 
 def monte_carlo_uncertainty(ds: TomographyDataset, samples: int, seed: int,
@@ -409,31 +402,33 @@ def monte_carlo_uncertainty(ds: TomographyDataset, samples: int, seed: int,
     seed); per-sample generators are spawned from the master seed, so a
     parallel execution would reproduce the same report.
 
-    Reconstructions start from the base dataset's estimate softened with
-    a small admixture of the maximally mixed state; any full-rank start
-    reaches the same maximizer.
+    All resamples are drawn first as one (samples, 36) array; each row
+    is then reconstructed and evaluated, and the coincidence rates and
+    key rates of all rows follow in one array step.  Reconstructions
+    start from the base dataset's estimate softened with a small
+    admixture of the maximally mixed state; any full-rank start reaches
+    the same maximizer.
     """
     if samples < 2:
         raise ValueError(f"need at least 2 Monte-Carlo samples, got {samples}")
-    streams = np.random.SeedSequence(seed).spawn(samples)
-    values = np.empty((samples, 4))
     base = ds.counts.astype(float)
+    resamples = np.array([np.random.default_rng(stream).poisson(base)
+                          for stream in np.random.SeedSequence(seed).spawn(samples)])
     base_fit = mle_reconstruct(base, ds.settings, **mle_kwargs)
     warm_start = 0.99 * base_fit.rho + 0.01 * np.eye(4, dtype=complex) / 4.0
+    values = np.empty((samples, 4))  # columns S, Q, r_DW, R_key
     unconverged = 0
-    for i, stream in enumerate(streams):
-        rng = np.random.default_rng(stream)
-        resampled = rng.poisson(base)
-        qkd, converged = _metrics_from_counts(resampled, ds, warm_start, mle_kwargs)
-        values[i] = qkd.s, qkd.q, qkd.r_dw, qkd.r_key
-        unconverged += not converged
-    means = values.mean(axis=0)
-    stds = values.std(axis=0, ddof=1)
+    for row, counts in zip(values, resamples):
+        fit = mle_reconstruct(counts, ds.settings, rho_start=warm_start, **mle_kwargs)
+        row[:3] = metrics.evaluate_state(fit.rho)
+        unconverged += not fit.converged
+    r_c = _quadruple_sums(resamples, ds.settings).mean(axis=-1) / ds.n_windows
+    values[:, 3] = values[:, 2] * r_c
+    s_mean, q_mean, r_dw_mean, r_key_mean = values.mean(axis=0).tolist()
+    s_std, q_std, r_dw_std, r_key_std = values.std(axis=0, ddof=1).tolist()
     return UncertaintyReport(
-        s_mean=float(means[0]), s_std=float(stds[0]),
-        q_mean=float(means[1]), q_std=float(stds[1]),
-        r_dw_mean=float(means[2]), r_dw_std=float(stds[2]),
-        r_key_mean=float(means[3]), r_key_std=float(stds[3]),
+        s_mean=s_mean, s_std=s_std, q_mean=q_mean, q_std=q_std,
+        r_dw_mean=r_dw_mean, r_dw_std=r_dw_std, r_key_mean=r_key_mean, r_key_std=r_key_std,
         samples=samples, seed=seed, unconverged=unconverged)
 
 

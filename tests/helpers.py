@@ -15,6 +15,7 @@ reuse the closed forms or the optimizer under test.
 from __future__ import annotations
 
 import math
+import statistics
 
 import numpy as np
 from scipy.optimize import brentq, minimize, minimize_scalar
@@ -198,20 +199,49 @@ def binary_entropy_bits(q: float) -> float:
     return -q * math.log2(q) - (1.0 - q) * math.log2(1.0 - q)
 
 
+def devetak_winter_bits(s: float, q: float, clamp: bool = True) -> float:
+    """Devetak-Winter rate 1 - h(Q) - h((1 + sqrt((S/2)^2 - 1)) / 2) in bits.
+
+    Clamped, the rate is 0 without a CHSH violation and never negative;
+    unclamped, the Holevo term is pinned at 1 below S = 2 so the value
+    changes sign once.
+    """
+    if clamp and s <= 2.0:
+        return 0.0
+    holevo_arg = (1.0 + math.sqrt(max((s / 2.0) ** 2 - 1.0, 0.0))) / 2.0
+    rate = 1.0 - binary_entropy_bits(q) - binary_entropy_bits(holevo_arg)
+    return max(rate, 0.0) if clamp else rate
+
+
 def werner_devetak_winter(kappa: float, clamp: bool = True) -> float:
     """Devetak-Winter rate of a Bell state mixed with white noise of weight kappa.
 
     The correlation tensor is (1 - kappa) diag(1, -1, 1), so
-    S = 2 sqrt(2) (1 - kappa) and Q = kappa / 2.  Clamped, the rate is 0
-    without a CHSH violation and never negative; unclamped, the Holevo
-    term is pinned at 1 below S = 2 so the value changes sign once.
+    S = 2 sqrt(2) (1 - kappa) and Q = kappa / 2.
     """
-    s = 2.0 * math.sqrt(2.0) * (1.0 - kappa)
-    if clamp and s <= 2.0:
-        return 0.0
-    holevo_arg = (1.0 + math.sqrt(max((s / 2.0) ** 2 - 1.0, 0.0))) / 2.0
-    rate = 1.0 - binary_entropy_bits(kappa / 2.0) - binary_entropy_bits(holevo_arg)
-    return max(rate, 0.0) if clamp else rate
+    return devetak_winter_bits(2.0 * math.sqrt(2.0) * (1.0 - kappa), kappa / 2.0, clamp)
+
+
+def state_figures(rho: np.ndarray) -> tuple[float, float, float]:
+    """(S, Q, r_DW) from the two largest eigenvalues of T^T T, T by explicit traces."""
+    tensor = correlation_tensor_direct(rho)
+    lam = np.sort(np.linalg.eigvalsh(tensor.T @ tensor))[::-1]
+    s = 2.0 * math.sqrt(lam[0] + lam[1])
+    q = (1.0 - math.sqrt(lam[0])) / 2.0
+    return s, q, devetak_winter_bits(s, q)
+
+
+def quadruple_coincidence_rate(counts, pairs, n_windows: float) -> float:
+    """Mean over the 9 pairs of measurement axes of the four counts on them, per window."""
+    axis = {"H": "z", "V": "z", "D": "x", "A": "x", "R": "y", "L": "y"}
+    sums: dict = {}
+    members: dict = {}
+    for (a, b), count in zip(pairs, counts):
+        key = (axis[a], axis[b])
+        sums[key] = sums.get(key, 0) + int(count)
+        members[key] = members.get(key, 0) + 1
+    assert sorted(members.values()) == [4] * 9
+    return statistics.fmean(sums.values()) / n_windows
 
 
 def bell_key_rate(n_bar: float, eta_a: float, eta_b: float) -> float:

@@ -29,11 +29,14 @@ class TestOptimalBases:
                 assert s == pytest.approx(chsh_max(rho), abs=1e-9)
                 assert q == pytest.approx(qber_min(rho), abs=1e-9)
 
-    def test_degenerate_second_eigenvalue(self):
+    @pytest.mark.parametrize("ordering", ["alice_first", "bob_first"])
+    def test_degenerate_second_eigenvalue(self, ordering):
         hh = ket_to_dm(np.kron(POLARIZATION_KETS["H"], POLARIZATION_KETS["H"]))
-        bs = optimal_bases(hh, "alice_first")
+        bs = optimal_bases(hh, ordering)
         assert np.allclose(bs.a1, bs.a0, atol=1e-12)
         assert np.allclose(bs.a2, bs.a0, atol=1e-12)
+        if ordering == "bob_first":
+            assert np.array_equal(bs.b2, bs.b1)
         s, _ = verify_bases(hh, bs)
         assert s == pytest.approx(2.0, abs=1e-9)
 

@@ -88,6 +88,24 @@ class TestReconstruct:
         assert report["reconstruction"]["converged"] is False
         assert "did not converge" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field,value", [("duration_s", math.inf), ("tau_s", math.nan)])
+    def test_non_finite_timing_exits_2_before_any_fit(self, tmp_path, monkeypatch, capsys,
+                                                       field, value):
+        import entqkd.cli as cli
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("mle_reconstruct ran on an invalid dataset")
+
+        monkeypatch.setattr(cli.tomography, "mle_reconstruct", no_fit)
+        obj = {"tau_s": 1e-9, "duration_s": 1.0, field: value,
+               "measurements": [{"a": a, "b": b, "count": 100} for a, b in SETTINGS.pairs]}
+        ds_path = tmp_path / "timing.json"
+        ds_path.write_text(json.dumps(obj))  # writes Infinity / NaN, which json.load accepts
+        out = tmp_path / "report.json"
+        assert main(["reconstruct", str(ds_path), "--mc", "5", "--out", str(out)]) == 2
+        assert f"error: {field}: must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestModel:
     def test_lossless_curve_peak(self, tmp_path):
@@ -167,6 +185,14 @@ class TestBases:
         assert main(["bases", "--rho0-file", str(rho_path), "--ordering", "bob_first"]) == 0
         assert "ordering: bob_first" in capsys.readouterr().out
 
+    def test_non_finite_state_file_rejected(self, tmp_path, capsys):
+        rho = np.eye(4) / 4
+        rho[0, 1] = rho[1, 0] = math.nan
+        rho_path = tmp_path / "nan.json"
+        rho_path.write_text(json.dumps({"re": rho.tolist(), "im": np.zeros((4, 4)).tolist()}))
+        assert main(["bases", "--rho0-file", str(rho_path)]) == 2
+        assert "error: rho has non-finite entries" in capsys.readouterr().err
+
     def test_maximally_mixed_rejected(self, tmp_path, capsys):
         rho_path = tmp_path / "mixed.json"
         rho_path.write_text(canonical_json(
@@ -194,6 +220,17 @@ class TestCompare:
                      "--out-dir", str(out_dir)]) == 0
         rows = (out_dir / "reference_points.csv").read_text().strip().split("\n")
         assert len(rows) == 21  # header + 20 rows
+
+
+class TestHelp:
+    @pytest.mark.parametrize("command,default", [("compare", "0.16"), ("model", "1.0"),
+                                                 ("optimize", "1.0")])
+    def test_help_states_transmittance_default(self, capsys, command, default):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert f"(default {default} when no transmittance flag" in " ".join(
+            capsys.readouterr().out.split())
 
 
 class TestTableCheck:

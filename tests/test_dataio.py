@@ -66,6 +66,11 @@ class TestDatasetParsing:
     @pytest.mark.parametrize("mutate,field_part", [
         (lambda d: d.pop("tau_s"), "tau_s"),
         (lambda d: d.update(tau_s=-1.0), "tau_s"),
+        (lambda d: d.update(tau_s=float("nan")), "tau_s"),
+        (lambda d: d.update(tau_s=float("inf")), "tau_s"),
+        (lambda d: d.update(duration_s=float("inf")), "duration_s"),
+        (lambda d: d.update(duration_s=float("nan")), "duration_s"),
+        (lambda d: d.update(duration_s=10 ** 400), "duration_s"),
         (lambda d: d["measurements"].pop(), "measurements"),
         (lambda d: d["measurements"][3].update(a="Q"), "measurements[3].a"),
         (lambda d: d["measurements"][5].update(count=-2), "measurements[5].count"),
@@ -77,7 +82,7 @@ class TestDatasetParsing:
         mutate(obj)
         with pytest.raises(DatasetFormatError) as err:
             dataset_from_dict(obj)
-        assert field_part in str(err.value)
+        assert err.value.field == field_part
 
     def test_duplicate_pair(self):
         obj = dataset_dict()

@@ -225,6 +225,15 @@ class TestValidation:
         with pytest.raises(ValueError, match="eigenvalue"):
             validate_density_matrix(bad)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1)])
+    def test_rejects_non_finite_entries(self, value, where):
+        # off the diagonal the entry and its mirror are set, so the matrix is Hermitian in form
+        bad = np.eye(4, dtype=complex) / 4
+        bad[where] = bad[where[::-1]] = value
+        with pytest.raises(ValueError, match="rho_x has non-finite entries"):
+            validate_density_matrix(bad, name="rho_x")
+
     def test_accepts_tiny_negative_eigenvalue(self):
         eps = 5e-11
         ok = np.diag([0.5 + eps, 0.5, 0.0, -eps]).astype(complex)

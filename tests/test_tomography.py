@@ -1,4 +1,5 @@
 import math
+import statistics
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from entqkd import (SourceParams, TomographyDataset, TomographySettings,
                     bell_state, chsh_max, coincidence_rate_exact,
                     coincidence_rate_from_counts, fidelity, fit_kappa,
                     evaluate_state, kappa_exact, mle_curve, mle_reconstruct,
-                    monte_carlo_uncertainty, synthesize_frequencies, werner_mix)
+                    monte_carlo_uncertainty, synthesize_frequencies, tomography,
+                    werner_mix)
 from entqkd.metrics import TSIRELSON
 
 SETTINGS = TomographySettings.canonical()
@@ -287,6 +289,10 @@ class TestCoincidenceRateFromCounts:
             make_dataset(np.zeros(36), tau_s=1.0, duration_s=0.5)
         with pytest.raises(ValueError):
             make_dataset(np.full(36, -1))
+        for field, value in (("tau_s", math.nan), ("duration_s", math.inf),
+                             ("duration_s", math.nan)):
+            with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+                make_dataset(np.zeros(36), **{field: value})
 
 
 class TestMonteCarlo:
@@ -300,6 +306,35 @@ class TestMonteCarlo:
         assert a == b
         c = monte_carlo_uncertainty(dataset, samples=20, seed=43)
         assert c != a
+
+    @pytest.mark.parametrize("mle_kwargs", [{}, {"max_iterations": 150}])
+    def test_report_matches_oracle_over_the_recorded_fits(self, dataset, monkeypatch,
+                                                          mle_kwargs):
+        fits = []
+        real = tomography.mle_reconstruct
+
+        def recorded(frequencies, settings, **kwargs):
+            result = real(frequencies, settings, **kwargs)
+            fits.append((np.array(frequencies), result))
+            return result
+
+        monkeypatch.setattr(tomography, "mle_reconstruct", recorded)
+        samples = 30
+        report = monte_carlo_uncertainty(dataset, samples, 5, **mle_kwargs)
+        assert len(fits) == samples + 1 and np.array_equal(fits[0][0], dataset.counts)
+        columns = []
+        for counts, fit in fits[1:]:
+            s, q, r_dw = helpers.state_figures(fit.rho)
+            r_c = helpers.quadruple_coincidence_rate(counts, SETTINGS.pairs, dataset.n_windows)
+            columns.append((s, q, r_dw, r_dw * r_c))
+        got = report.to_json_dict()
+        for key, column in zip(("S", "Q", "r_dw", "R_key"), zip(*columns)):
+            assert got[key]["mean"] == pytest.approx(statistics.fmean(column), rel=1e-12)
+            assert got[key]["std"] == pytest.approx(statistics.stdev(column), rel=1e-12)
+        unconverged = sum(not fit.converged for _, fit in fits[1:])
+        assert report.unconverged == unconverged
+        if mle_kwargs:  # the cap falls inside the spread of iteration counts
+            assert 0 < unconverged < samples
 
     def test_unconverged_samples_are_counted_and_kept(self, dataset):
         report = monte_carlo_uncertainty(dataset, 4, 0, max_iterations=1)
