@@ -34,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numeric import check_range
 from .states import correlation_analysis
 
 ORDERINGS = ("alice_first", "bob_first")
@@ -43,6 +44,14 @@ _DEGENERATE_TOL = 1e-12
 
 class NoSignalError(ValueError):
     """Raised when the state carries no correlations to align bases with."""
+
+
+def _unit_vector(name: str, x) -> np.ndarray:
+    """x as a float 3-vector of norm 1 within 1e-9; NaN or inf entries fail."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (3,) or not abs(np.linalg.norm(x) - 1.0) <= 1e-9:
+        raise ValueError(f"{name} must be a unit 3-vector, got {x}")
+    return x
 
 
 @dataclass(frozen=True)
@@ -60,9 +69,7 @@ class BasisSet:
         if self.ordering not in ORDERINGS:
             raise ValueError(f"ordering must be one of {ORDERINGS}, got {self.ordering!r}")
         for name in ("a0", "a1", "a2", "b1", "b2"):
-            vec = np.asarray(getattr(self, name), dtype=float)
-            if vec.shape != (3,) or abs(np.linalg.norm(vec) - 1.0) > 1e-9:
-                raise ValueError(f"{name} must be a unit 3-vector")
+            vec = _unit_vector(name, getattr(self, name))
             vec.flags.writeable = False
             object.__setattr__(self, name, vec)
 
@@ -79,10 +86,8 @@ class WaveplateSetting:
     theta_h: float
 
     def __post_init__(self):
-        if not -math.pi / 2 < self.theta_q <= math.pi / 2:
-            raise ValueError("theta_q outside (-pi/2, pi/2]")
-        if not -math.pi / 4 < self.theta_h <= math.pi / 4:
-            raise ValueError("theta_h outside (-pi/4, pi/4]")
+        check_range("theta_q", self.theta_q, -math.pi / 2, math.pi / 2, open_lo=True)
+        check_range("theta_h", self.theta_h, -math.pi / 4, math.pi / 4, open_lo=True)
 
 
 def optimal_bases(rho: np.ndarray, ordering: str = "alice_first") -> BasisSet:
@@ -128,16 +133,13 @@ def verify_bases(rho: np.ndarray, bs: BasisSet) -> tuple[float, float]:
 
     No optimization happens here; this is the independent check that a
     BasisSet achieves the values it promises.  The first tensor index
-    belongs to the first mode, so the contraction order follows
-    ``bs.ordering``.
+    belongs to the first mode, so for ``bob_first`` Alice's vectors
+    contract with the transposed tensor.
     """
     tensor = correlation_analysis(rho).tensor
-    if bs.ordering == "alice_first":
-        s = bs.a1 @ tensor @ (bs.b1 + bs.b2) + bs.a2 @ tensor @ (bs.b1 - bs.b2)
-        q = (1.0 - bs.a0 @ tensor @ bs.b1) / 2.0
-    else:
-        s = bs.b1 @ tensor @ (bs.a1 + bs.a2) + bs.b2 @ tensor @ (bs.a1 - bs.a2)
-        q = (1.0 - bs.b1 @ tensor @ bs.a0) / 2.0
+    corr = tensor if bs.ordering == "alice_first" else tensor.T
+    s = bs.a1 @ corr @ (bs.b1 + bs.b2) + bs.a2 @ corr @ (bs.b1 - bs.b2)
+    q = (1.0 - bs.a0 @ corr @ bs.b1) / 2.0
     return float(s), float(q)
 
 
@@ -158,9 +160,7 @@ def waveplate_angles(x) -> WaveplateSetting:
     selecting the horizontal beam-splitter output reproduces the
     projector onto x.
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (3,) or abs(np.linalg.norm(x) - 1.0) > 1e-9:
-        raise ValueError("x must be a unit 3-vector")
+    x = _unit_vector("x", x)
     arc = math.asin(min(1.0, max(-1.0, x[1])))
     theta_q = 0.5 * arc
     theta_h = 0.25 * (math.atan2(x[0], x[2]) + arc)

@@ -27,6 +27,7 @@ import sys
 import numpy as np
 
 from . import __version__, bases, dataio, metrics, optimize, refdata, spdc, tomography
+from .numeric import check_range
 from .states import bell_state, werner_mix
 
 EXIT_OK = 0
@@ -44,15 +45,14 @@ def _parse_grid(spec: str, log: bool) -> np.ndarray:
         start, stop, steps = float(start_s), float(stop_s), int(steps_s)
     except ValueError as exc:
         raise ValueError(f"grid must look like start:stop:steps, got {spec!r}") from exc
+    # the grid holds gains n_bar >= 0; a log grid needs n_bar > 0
+    check_range(f"--nbar-grid {spec!r} start", start, 0.0, open_lo=log)
+    check_range(f"--nbar-grid {spec!r} stop", stop, 0.0)
     if steps < 1:
         raise ValueError(f"grid needs at least 1 step, got {steps}")
     if not stop > start:
         raise ValueError(f"grid needs start < stop, got {spec!r}")
-    if log:
-        if start <= 0:
-            raise ValueError("log grid needs a positive start")
-        return np.geomspace(start, stop, steps)
-    return np.linspace(start, stop, steps)
+    return (np.geomspace if log else np.linspace)(start, stop, steps)
 
 
 def _resolve_etas(args) -> tuple[float, float]:
@@ -63,9 +63,8 @@ def _resolve_etas(args) -> tuple[float, float]:
     else:
         eta_a = args.eta_a if args.eta_a is not None else 1.0
         eta_b = args.eta_b if args.eta_b is not None else 1.0
-    for name, eta in (("eta_a", eta_a), ("eta_b", eta_b)):
-        if not 0.0 < eta <= 1.0:
-            raise ValueError(f"{name} must lie in (0, 1], got {eta}")
+    check_range("eta_a", eta_a, 0.0, 1.0, open_lo=True)
+    check_range("eta_b", eta_b, 0.0, 1.0, open_lo=True)
     return eta_a, eta_b
 
 
@@ -192,48 +191,38 @@ def cmd_bases(args) -> int:
 
 def cmd_compare(args) -> int:
     eta_a, eta_b = _resolve_etas(args)
-    os.makedirs(args.out_dir, exist_ok=True)
     grid = _parse_grid(args.nbar_grid, True)
-
-    ideal = spdc.model_curve(1.0, 1.0, grid)
-    _write_text(dataio.model_points_to_csv(ideal),
-                os.path.join(args.out_dir, "spdc_ideal.csv"))
-
     if args.rho0_file is not None:
         rho0 = _load_rho0(args.rho0_file)
     else:
-        rho0 = werner_mix(bell_state("phi+"), 1.0 - args.s_target / metrics.TSIRELSON)
-    lossy = tomography.mle_curve(rho0, eta_a, eta_b, grid)
-    _write_text(dataio.model_points_to_csv(lossy),
-                os.path.join(args.out_dir, "spdc_model.csv"))
+        s_target = check_range("--s-target", args.s_target, 0.0, metrics.TSIRELSON)
+        rho0 = werner_mix(bell_state("phi+"), 1.0 - s_target / metrics.TSIRELSON)
+    os.makedirs(args.out_dir, exist_ok=True)
 
     dephasing = optimize.qd_threshold(0.95, "dephasing")
     white = optimize.qd_threshold(0.95, "white")
     peak = optimize.optimize_gain(1.0, 1.0)
-    marker_lines = ["label,r_c,R_key"]
-    marker_lines.append(f"spdc_bound,{spdc.coincidence_rate_exact(peak.n_bar_opt, 1.0, 1.0)!r},"
-                        f"{optimize.R_KEY_MAX_SPDC!r}")
-    for name, thr in (("dephasing_c95", dephasing), ("white_c95", white)):
-        marker_lines.append(f"threshold_{name},{thr.r_c_threshold!r},{optimize.R_KEY_MAX_SPDC!r}")
-    _write_text("\n".join(marker_lines) + "\n",
-                os.path.join(args.out_dir, "thresholds.csv"))
-
+    bound = optimize.R_KEY_MAX_SPDC
     rc_grid = np.geomspace(1e-6, 0.2, 60)
-    line_rows = ["source,r_c,R_key"]
-    for name, r_dw in (("ideal_single_pair", 1.0),
-                       ("dephasing_c95", dephasing.r_dw),
-                       ("white_c95", white.r_dw)):
-        for r_c, r_key in optimize.qd_key_line(r_dw, rc_grid):
-            line_rows.append(f"{name},{r_c!r},{r_key!r}")
-    _write_text("\n".join(line_rows) + "\n",
-                os.path.join(args.out_dir, "single_pair_lines.csv"))
-
-    ref_rows = ["tau_ns,r_c,S,Q,r_dw,R_key"]
-    for row in refdata.load_reference_table():
-        ref_rows.append(f"{row.tau_ns!r},{row.r_c.value!r},{row.s.value!r},"
-                        f"{row.q.value!r},{row.r_dw.value!r},{row.r_key.value!r}")
-    _write_text("\n".join(ref_rows) + "\n",
-                os.path.join(args.out_dir, "reference_points.csv"))
+    files = {
+        "spdc_ideal.csv": (dataio.MODEL_CSV_HEADER, spdc.model_curve(1.0, 1.0, grid)),
+        "spdc_model.csv": (dataio.MODEL_CSV_HEADER,
+                           tomography.mle_curve(rho0, eta_a, eta_b, grid)),
+        "thresholds.csv": ("label,r_c,R_key", [
+            ("spdc_bound", spdc.coincidence_rate_exact(peak.n_bar_opt, 1.0, 1.0), bound),
+            ("threshold_dephasing_c95", dephasing.r_c_threshold, bound),
+            ("threshold_white_c95", white.r_c_threshold, bound)]),
+        "single_pair_lines.csv": ("source,r_c,R_key", [
+            (name, r_c, r_key)
+            for name, r_dw in (("ideal_single_pair", 1.0), ("dephasing_c95", dephasing.r_dw),
+                               ("white_c95", white.r_dw))
+            for r_c, r_key in optimize.qd_key_line(r_dw, rc_grid)]),
+        "reference_points.csv": ("tau_ns,r_c,S,Q,r_dw,R_key", [
+            (row.tau_ns, row.r_c.value, row.s.value, row.q.value, row.r_dw.value,
+             row.r_key.value) for row in refdata.load_reference_table()]),
+    }
+    for name, (header, rows) in files.items():
+        _write_text(dataio.csv_text(header, rows), os.path.join(args.out_dir, name))
 
     print(f"wrote comparison series to {args.out_dir}")
     return EXIT_OK

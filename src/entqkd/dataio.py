@@ -24,6 +24,8 @@ from .tomography import PROJECTION_LABELS, TomographyDataset, TomographySettings
 
 MODEL_CSV_HEADER = "n_bar,kappa,S,Q,r_dw,r_c,R_key"
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
 
 class DatasetFormatError(ValueError):
     """Schema violation in a dataset file; ``field`` names the offender."""
@@ -80,6 +82,9 @@ def dataset_from_dict(obj: dict) -> TomographyDataset:
             raise DatasetFormatError("count must be an integer", field=f"{field}.count")
         if count < 0:
             raise DatasetFormatError("count must be nonnegative", field=f"{field}.count")
+        if count > _INT64_MAX:
+            raise DatasetFormatError(f"count must be at most {_INT64_MAX}",
+                                     field=f"{field}.count")
         if (a, b) in by_pair:
             raise DatasetFormatError(f"duplicate projection pair ({a}, {b})", field=field)
         by_pair[(a, b)] = count
@@ -127,9 +132,14 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
+def csv_text(header: str, rows) -> str:
+    """Header line, then one line per row; strings as given, numbers as repr(float(v))."""
+    lines = [header]
+    for row in rows:
+        lines.append(",".join(v if isinstance(v, str) else repr(float(v)) for v in row))
+    return "\n".join(lines) + "\n"
+
+
 def model_points_to_csv(points: list[ModelPoint]) -> str:
     """CSV with header n_bar,kappa,S,Q,r_dw,r_c,R_key at full double precision."""
-    lines = [MODEL_CSV_HEADER]
-    for pt in points:
-        lines.append(",".join(repr(float(v)) for v in pt))
-    return "\n".join(lines) + "\n"
+    return csv_text(MODEL_CSV_HEADER, points)

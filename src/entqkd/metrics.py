@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numeric import check_range
 from .states import correlation_analysis
 
 TSIRELSON = 2.0 * math.sqrt(2.0)
@@ -34,8 +35,7 @@ TSIRELSON = 2.0 * math.sqrt(2.0)
 
 def binary_entropy(q: float) -> float:
     """h(q) = -q log2 q - (1-q) log2 (1-q), with h(0) = h(1) = 0 by continuity."""
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"binary entropy argument must lie in [0, 1], got {q}")
+    check_range("binary entropy argument", q, 0.0, 1.0)
     if q == 0.0 or q == 1.0:
         return 0.0
     return -q * math.log2(q) - (1.0 - q) * math.log2(1.0 - q)
@@ -68,8 +68,8 @@ def devetak_winter_raw(s: float, q: float) -> float:
     Below the classical bound the Holevo term is pinned at its S -> 2
     limit h(1/2) = 1, so the value continues to -h(Q) <= 0 there.
     """
-    _check_s_q(s, q)
-    s = min(s, TSIRELSON)
+    check_range("QBER", q, 0.0, 0.5)
+    s = min(check_range("CHSH value", s, 0.0, TSIRELSON + 1e-9), TSIRELSON)
     holevo_arg = (1.0 + math.sqrt(max((s / 2.0) ** 2 - 1.0, 0.0))) / 2.0
     return 1.0 - binary_entropy(q) - binary_entropy(holevo_arg)
 
@@ -81,18 +81,14 @@ def devetak_winter(s: float, q: float) -> float:
     negative values to 0, matching reported zero rates for insecure
     states.
     """
-    _check_s_q(s, q)
-    if s <= 2.0:
-        return 0.0
-    return max(0.0, devetak_winter_raw(s, q))
+    rate = devetak_winter_raw(s, q)  # called first: it checks (S, Q) for S <= 2 too
+    return max(0.0, rate) if s > 2.0 else 0.0
 
 
 def key_rate(r_dw: float, r_c: float) -> float:
     """Secure key bits per detection window: r_DW * r_C."""
-    if not 0.0 <= r_dw <= 1.0:
-        raise ValueError(f"r_dw must lie in [0, 1], got {r_dw}")
-    if r_c < 0.0:
-        raise ValueError(f"r_c must be nonnegative, got {r_c}")
+    check_range("r_dw", r_dw, 0.0, 1.0)
+    check_range("r_c", r_c, 0.0)
     return r_dw * r_c
 
 
@@ -101,16 +97,8 @@ def s_q_from_kappa(kappa: float) -> tuple[float, float]:
 
     S = 2 sqrt(2) (1 - kappa) and Q = kappa / 2.
     """
-    if not 0.0 <= kappa <= 1.0:
-        raise ValueError(f"kappa must lie in [0, 1], got {kappa}")
+    check_range("kappa", kappa, 0.0, 1.0)
     return TSIRELSON * (1.0 - kappa), kappa / 2.0
-
-
-def _check_s_q(s: float, q: float) -> None:
-    if not 0.0 <= q <= 0.5:
-        raise ValueError(f"QBER must lie in [0, 0.5], got {q}")
-    if s < 0.0 or s > TSIRELSON + 1e-9:
-        raise ValueError(f"CHSH value must lie in [0, 2*sqrt(2)], got {s}")
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import metrics
-from .numeric import bisect_root, golden_section_max
+from .numeric import bisect_root, check_range, golden_section_max
 from .spdc import _model_point, kappa_approx, kappa_exact
 from .states import bell_state, werner_mix
 
@@ -68,9 +68,8 @@ def optimize_gain(eta_a: float, eta_b: float) -> GainOptimum:
     located optimum sits near n_bar ~ 0.07 for all transmittances; the
     fixed setting n_bar = 0.0737 stays within 0.2 % of the maximum.
     """
-    for name, eta in (("eta_a", eta_a), ("eta_b", eta_b)):
-        if not 0.0 < eta <= 1.0:
-            raise ValueError(f"{name} must lie in (0, 1], got {eta}")
+    check_range("eta_a", eta_a, 0.0, 1.0, open_lo=True)
+    check_range("eta_b", eta_b, 0.0, 1.0, open_lo=True)
     n_opt = golden_section_max(lambda n: _model_point(n, eta_a, eta_b).r_key,
                                1e-9, CRITICAL_N_BAR_LIMIT, tol=1e-7)
     return GainOptimum(n_bar_opt=float(n_opt), r_key_opt=_model_point(n_opt, eta_a, eta_b).r_key,
@@ -85,9 +84,8 @@ def critical_gain(eta_a: float, eta_b: float) -> float:
     kappa = n_bar / (1 + n_bar); mixing one zero arm with one positive
     arm has no defined closed form and is rejected.
     """
-    for name, eta in (("eta_a", eta_a), ("eta_b", eta_b)):
-        if not 0.0 <= eta <= 1.0:
-            raise ValueError(f"{name} must lie in [0, 1], got {eta}")
+    check_range("eta_a", eta_a, 0.0, 1.0)
+    check_range("eta_b", eta_b, 0.0, 1.0)
     if eta_a == 0.0 and eta_b == 0.0:
         kappa_of = kappa_approx
     elif eta_a > 0.0 and eta_b > 0.0:
@@ -113,8 +111,7 @@ def qd_reference_state(concurrence: float, noise_model: str) -> np.ndarray:
     """
     if noise_model not in NOISE_MODELS:
         raise ValueError(f"noise_model must be one of {NOISE_MODELS}, got {noise_model!r}")
-    if not 0.0 <= concurrence <= 1.0:
-        raise ValueError(f"concurrence must lie in [0, 1], got {concurrence}")
+    check_range("concurrence", concurrence, 0.0, 1.0)
     bell = bell_state("phi+")
     if noise_model == "white":
         return werner_mix(bell, 2.0 * (1.0 - concurrence) / 3.0)
@@ -126,8 +123,6 @@ def qd_reference_state(concurrence: float, noise_model: str) -> np.ndarray:
 
 def qd_threshold(concurrence: float, noise_model: str) -> QdThreshold:
     """Coincidence rate a single-pair source needs to beat the CW bound."""
-    if not 0.0 < concurrence <= 1.0:
-        raise NoSecurityError("zero concurrence gives a vanishing Devetak-Winter rate")
     _, _, r_dw = metrics.evaluate_state(qd_reference_state(concurrence, noise_model))
     if r_dw <= 0.0:
         raise NoSecurityError(
@@ -138,6 +133,5 @@ def qd_threshold(concurrence: float, noise_model: str) -> QdThreshold:
 
 def qd_key_line(r_dw: float, r_c_grid) -> list[tuple[float, float]]:
     """Linear key-rate line R_key = r_DW * r_C of a single-pair source."""
-    if not 0.0 <= r_dw <= 1.0:
-        raise ValueError(f"r_dw must lie in [0, 1], got {r_dw}")
+    check_range("r_dw", r_dw, 0.0, 1.0)
     return [(float(r_c), metrics.key_rate(r_dw, float(r_c))) for r_c in r_c_grid]

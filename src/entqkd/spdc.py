@@ -45,6 +45,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import metrics
+from .numeric import check_range
 from .states import _pauli_components, validate_density_matrix, werner_mix
 
 
@@ -57,11 +58,9 @@ class SourceParams:
     eta_b: float
 
     def __post_init__(self):
-        if self.n_bar < 0.0:
-            raise ValueError(f"n_bar must be nonnegative, got {self.n_bar}")
-        for name, eta in (("eta_a", self.eta_a), ("eta_b", self.eta_b)):
-            if not 0.0 <= eta <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {eta}")
+        check_range("n_bar", self.n_bar, 0.0)
+        check_range("eta_a", self.eta_a, 0.0, 1.0)
+        check_range("eta_b", self.eta_b, 0.0, 1.0)
 
 
 def _with_identity(bloch) -> np.ndarray:
@@ -103,14 +102,11 @@ def coincidence_probability(probs, n_bar) -> np.ndarray:
     sum_n P(n; n_bar) [1 - A^n - B^n + D^n]; the grouped expm1 form below
     avoids cancellation at small n_bar.
     """
-    n_bar = np.asarray(n_bar, dtype=float)
-    if np.any(n_bar < 0.0):
-        raise ValueError(f"n_bar must be nonnegative, got {n_bar.min()}")
+    n_bar = check_range("n_bar", np.asarray(n_bar, dtype=float), 0.0)
     probs = np.asarray(probs, dtype=float)
     if probs.shape[-1:] != (4,):
         raise ValueError(f"probs must have shape (..., 4), got {probs.shape}")
-    if not np.all((probs >= -1e-12) & (probs <= 1.0 + 1e-12)):
-        raise ValueError("click probabilities must lie in [0, 1]")
+    check_range("click probabilities", probs, -1e-12, 1.0 + 1e-12)
     if not np.all(np.abs(probs.sum(axis=-1) - 1.0) <= 1e-12):
         raise ValueError("click probabilities must sum to 1")
     p11, p10, p01, _ = np.moveaxis(probs, -1, 0)
@@ -133,13 +129,9 @@ def kappa_exact(n_bar: float, eta_a: float, eta_b: float) -> float:
     degenerate when a transmittance vanishes, so such calls are
     rejected (use kappa_approx for the zero-transmittance limit).
     """
-    if n_bar < 0.0:
-        raise ValueError(f"n_bar must be nonnegative, got {n_bar}")
-    for name, eta in (("eta_a", eta_a), ("eta_b", eta_b)):
-        if not 0.0 < eta <= 1.0:
-            raise ValueError(
-                f"{name} must lie in (0, 1], got {eta}; "
-                "the closed form is degenerate at zero transmittance")
+    check_range("n_bar", n_bar, 0.0)
+    check_range("eta_a", eta_a, 0.0, 1.0, open_lo=True)
+    check_range("eta_b", eta_b, 0.0, 1.0, open_lo=True)
     if n_bar == 0.0:
         return 0.0
     num = 2.0 * math.expm1(eta_a * n_bar / 2.0) * math.expm1(eta_b * n_bar / 2.0)
@@ -148,20 +140,21 @@ def kappa_exact(n_bar: float, eta_a: float, eta_b: float) -> float:
 
 def kappa_approx(n_bar: float) -> float:
     """Low-gain white-noise weight, n_bar / (1 + n_bar)."""
-    if n_bar < 0.0:
-        raise ValueError(f"n_bar must be nonnegative, got {n_bar}")
+    check_range("n_bar", n_bar, 0.0)
     return n_bar / (1.0 + n_bar)
 
 
 def coincidence_rate_exact(n_bar: float, eta_a: float, eta_b: float) -> float:
-    """Detected pairs per window: 1 - e^{-eA n} - e^{-eB n} + e^{-(eA+eB-eA eB) n}."""
-    if n_bar < 0.0:
-        raise ValueError(f"n_bar must be nonnegative, got {n_bar}")
-    for name, eta in (("eta_a", eta_a), ("eta_b", eta_b)):
-        if not 0.0 <= eta <= 1.0:
-            raise ValueError(f"{name} must lie in [0, 1], got {eta}")
-    return (1.0 - math.exp(-eta_a * n_bar) - math.exp(-eta_b * n_bar)
-            + math.exp(-(eta_a + eta_b - eta_a * eta_b) * n_bar))
+    """Detected pairs per window: 1 - e^{-eA n} - e^{-eB n} + e^{-(eA+eB-eA eB) n}.
+
+    Grouped as in ``coincidence_probability`` so that it does not cancel at small gains.
+    """
+    check_range("n_bar", n_bar, 0.0)
+    check_range("eta_a", eta_a, 0.0, 1.0)
+    check_range("eta_b", eta_b, 0.0, 1.0)
+    return (-math.expm1(-n_bar * eta_b)
+            - math.exp(-n_bar * (eta_a + eta_b - eta_a * eta_b))
+            * math.expm1(n_bar * eta_b * (1.0 - eta_a)))
 
 
 def effective_state(params: SourceParams, rho_b: np.ndarray) -> np.ndarray:

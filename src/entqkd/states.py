@@ -28,6 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numeric import check_range
+
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 PSD_TOL = -1e-10
@@ -128,15 +130,15 @@ def bell_state(kind: str) -> np.ndarray:
     return ket_to_dm(ket)
 
 
-def validate_density_matrix(rho, dim: int = 4, name: str = "rho") -> np.ndarray:
+def validate_density_matrix(rho, name: str = "rho") -> np.ndarray:
     """Check finiteness, Hermiticity, unit trace, and positivity; return as complex array.
 
     Eigenvalues are allowed to dip to -1e-10 (tomography and Monte-Carlo
     perturbations produce tiny negatives); anything lower is rejected.
     """
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (dim, dim):
-        raise ValueError(f"{name} must be a {dim}x{dim} matrix, got shape {rho.shape}")
+    if rho.shape != (4, 4):
+        raise ValueError(f"{name} must be a 4x4 matrix, got shape {rho.shape}")
     if not np.isfinite(rho).all():
         raise ValueError(f"{name} has non-finite entries")
     if np.max(np.abs(rho - rho.conj().T)) > HERMITICITY_TOL:
@@ -151,8 +153,7 @@ def validate_density_matrix(rho, dim: int = 4, name: str = "rho") -> np.ndarray:
 
 def werner_mix(rho_b: np.ndarray, kappa: float) -> np.ndarray:
     """Mix a state with white noise: (1 - kappa) rho_b + kappa I/4."""
-    if not 0.0 <= kappa <= 1.0:
-        raise ValueError(f"kappa must lie in [0, 1], got {kappa}")
+    check_range("kappa", kappa, 0.0, 1.0)
     rho_b = validate_density_matrix(rho_b, name="rho_b")
     return (1.0 - kappa) * rho_b + kappa * np.asarray(MAXIMALLY_MIXED)
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import metrics
-from .numeric import golden_section_max
+from .numeric import check_range, golden_section_max
 from .spdc import (ModelPoint, SourceParams, click_probabilities, coincidence_probability,
                    coincidence_rate_exact)
 from .states import (POLARIZATION_BLOCH, POLARIZATION_KETS, ket_to_dm,
@@ -109,16 +109,14 @@ class TomographyDataset:
         counts = np.asarray(self.counts)
         if counts.shape != (36,):
             raise ValueError(f"counts must have shape (36,), got {counts.shape}")
-        if np.any(counts < 0):
-            raise ValueError("counts must be nonnegative")
+        check_range("counts", counts, 0)
         if np.any(counts != np.floor(counts)):
             raise ValueError("counts must be integers")
         counts = counts.astype(np.int64)
         counts.flags.writeable = False
         object.__setattr__(self, "counts", counts)
-        for name, value in (("tau_s", self.tau_s), ("duration_s", self.duration_s)):
-            if not 0.0 < value < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {value}")
+        check_range("tau_s", self.tau_s, 0.0, open_lo=True)
+        check_range("duration_s", self.duration_s, 0.0, open_lo=True)
         if self.duration_s < self.tau_s:
             raise ValueError("duration_s must be at least tau_s (need N_win >= 1)")
 
@@ -178,8 +176,7 @@ def _check_frequencies(frequencies) -> np.ndarray:
     c = np.asarray(frequencies, dtype=float)
     if c.shape != (36,):
         raise ValueError(f"frequencies must have shape (36,), got {c.shape}")
-    if np.any(c < 0):
-        raise ValueError("frequencies must be nonnegative")
+    check_range("frequencies", c, 0.0)
     if c.sum() <= 0.0:
         raise ValueError("frequencies must not be all zero")
     return c

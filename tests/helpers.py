@@ -6,7 +6,8 @@ plus local refinement over Bloch directions, the Poisson mixture by
 literal series summation, and the waveplate check by Jones-matrix
 propagation.  The source-model oracles take the white-noise weight from
 the paper's printed five-term closed form (not the library's expm1
-rewrite), the coincidence rate from the literal series, the Werner-state
+rewrite), the coincidence rate from the literal series and, where it
+cancels at small gains, from 40-digit decimal arithmetic, the Werner-state
 Devetak-Winter rate from their own binary entropy, and the gain optimum
 from a dense grid refined by a bounded scalar search.  None of these
 reuse the closed forms or the optimizer under test.
@@ -14,6 +15,7 @@ reuse the closed forms or the optimizer under test.
 
 from __future__ import annotations
 
+import decimal
 import math
 import statistics
 
@@ -191,6 +193,19 @@ def bell_coincidence_rate(n_bar: float, eta_a: float, eta_b: float) -> float:
     return coincidence_series(eta_a * eta_b, eta_a * (1.0 - eta_b),
                               (1.0 - eta_a) * eta_b, (1.0 - eta_a) * (1.0 - eta_b),
                               n_bar)
+
+
+def bell_coincidence_rate_decimal(n_bar: float, eta_a: float, eta_b: float) -> float:
+    """1 - e^{-eA n} - e^{-eB n} + e^{-(eA+eB-eA eB) n} in 40-digit decimal arithmetic.
+
+    The inputs convert to decimals exactly, and the four terms cancel to
+    about n eA eB, so at gains down to 1e-7 more than 25 digits survive.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        n, ea, eb = (decimal.Decimal(v) for v in (n_bar, eta_a, eta_b))
+        rate = 1 - (-ea * n).exp() - (-eb * n).exp() + (-(ea + eb - ea * eb) * n).exp()
+        return float(rate)
 
 
 def binary_entropy_bits(q: float) -> float:

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -106,6 +107,15 @@ class TestReconstruct:
         assert f"error: {field}: must be positive and finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_count_beyond_int64_exits_2(self, tmp_path, capsys):
+        obj = {"tau_s": 1e-9, "duration_s": 1.0,
+               "measurements": [{"a": a, "b": b, "count": 100} for a, b in SETTINGS.pairs]}
+        obj["measurements"][4]["count"] = 2 ** 70
+        ds_path = tmp_path / "huge.json"
+        ds_path.write_text(json.dumps(obj))
+        assert main(["reconstruct", str(ds_path)]) == 2
+        assert "error: measurements[4].count: count must be at most" in capsys.readouterr().err
+
 
 class TestModel:
     def test_lossless_curve_peak(self, tmp_path):
@@ -155,6 +165,14 @@ class TestModel:
         assert main(["model", "--eta", "0.5", "--nbar-grid", "0.2:0.1:5"]) == 2
         assert main(["model", "--eta", "0.5", "--eta-a", "0.4"]) == 2
         assert main(["model", "--eta", "0.5", "--nbar-grid", "0:0.1:5", "--log"]) == 2
+
+    @pytest.mark.parametrize("spec,bound", [("0:inf:3", "stop"), ("nan:0.1:3", "start"),
+                                            ("-0.1:0.1:3", "start")])
+    def test_bad_grid_bound_names_the_grid(self, capsys, spec, bound):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["model", f"--nbar-grid={spec}"]) == 2
+        assert f"error: --nbar-grid {spec!r} {bound} must" in capsys.readouterr().err
 
 
 class TestOptimize:
@@ -213,6 +231,15 @@ class TestCompare:
         for name in ("spdc_ideal.csv", "spdc_model.csv",
                      "single_pair_lines.csv", "reference_points.csv"):
             assert (out_dir / name).exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "2.83"])
+    def test_bad_s_target_names_the_flag(self, tmp_path, capsys, value):
+        out_dir = tmp_path / "cmp"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["compare", "--s-target", value, "--out-dir", str(out_dir)]) == 2
+        assert "error: --s-target must lie in [0, 2.828427125]" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_reference_points_carry_all_rows(self, tmp_path):
         out_dir = tmp_path / "cmp"

@@ -75,6 +75,7 @@ class TestDatasetParsing:
         (lambda d: d["measurements"][3].update(a="Q"), "measurements[3].a"),
         (lambda d: d["measurements"][5].update(count=-2), "measurements[5].count"),
         (lambda d: d["measurements"][7].update(count=1.5), "measurements[7].count"),
+        (lambda d: d["measurements"][9].update(count=2 ** 70), "measurements[9].count"),
         (lambda d: d["measurements"][2].pop("b"), "measurements[2]"),
     ])
     def test_schema_violations_name_the_field(self, mutate, field_part):

@@ -215,6 +215,11 @@ class TestCoincidenceRate:
                 total += pmf * (1 - (1 - ea) ** k) * (1 - (1 - eb) ** k)
             assert coincidence_rate_exact(n, ea, eb) == pytest.approx(total, abs=1e-12)
 
+    @pytest.mark.parametrize("n_bar,eta", [(1e-6, 0.01), (1e-5, 0.05), (1e-4, 0.16)])
+    def test_no_cancellation_at_small_gain(self, n_bar, eta):
+        exact = helpers.bell_coincidence_rate_decimal(n_bar, eta, eta)
+        assert abs(coincidence_rate_exact(n_bar, eta, eta) - exact) <= 1e-13 * exact
+
     def test_arm_symmetry(self):
         assert coincidence_rate_exact(0.3, 0.2, 0.9) == pytest.approx(
             coincidence_rate_exact(0.3, 0.9, 0.2), abs=1e-15)
