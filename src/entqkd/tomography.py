@@ -45,7 +45,13 @@ _LL_FLOOR = 1e-300  # guards log of model probabilities that underflow to 0
 _STEP_START = 1.0
 _STEP_GROWTH = 1.2
 _MAX_HALVINGS = 60
+#: a step is accepted only if every observed setting keeps at least this
+#: fraction of its probability at the point the step starts from
+_BOUNDARY_KEEP = 0.1
+_TOL = 1e-10
+_MAX_ITERATIONS = 10000
 _EYE4 = np.eye(4)
+_RANKS = np.arange(1, 5)
 
 
 @dataclass(frozen=True)
@@ -110,6 +116,10 @@ class TomographyDataset:
         if counts.shape != (36,):
             raise ValueError(f"counts must have shape (36,), got {counts.shape}")
         check_range("counts", counts, 0)
+        # the Python int bound compares exactly with every dtype; the float
+        # 2**63 - 1 would round up to 2**63 and let 2.0**63 through
+        if np.any(counts >= 2 ** 63):
+            raise ValueError(f"counts must be below 2**63 to fit int64, got {counts.max()}")
         if np.any(counts != np.floor(counts)):
             raise ValueError("counts must be integers")
         counts = counts.astype(np.int64)
@@ -229,6 +239,15 @@ def _accelerated_ascent(projectors_real, c, rho, tol, max_iterations, on_iterati
     not cancel; log1p of the difference's trace is subtracted, so a
     roundoff change of the trace is not taken for progress.
 
+    A step must also keep every observed probability at least
+    ``_BOUNDARY_KEEP`` times its value at sigma, the fraction-to-the-
+    boundary rule of interior methods (Nocedal & Wright, Numerical
+    Optimization, section 19.2).  Without it a step can land on a face
+    where an observed probability nearly vanishes: that costs little
+    likelihood, but the gradient there is so large that every later
+    step fails the backtracking and the floor stop below fires far from
+    the optimum.
+
     Stops when the certified gap lambda_max(R(rho)) - 1 is at most
     ``tol`` (Glancy, Knill & Girard, NJP 14, 095017, 2012), or when two
     restarts in a row cannot raise the likelihood, which is the
@@ -271,7 +290,8 @@ def _accelerated_ascent(projectors_real, c, rho, tol, max_iterations, on_iterati
                 p_cand = born(cand)
                 x = born(to_cand) / p_sigma
                 bound = -np.vdot(to_cand, to_cand).real / (2.0 * step)
-                if p_cand.min() > 0.0 and c @ (np.log1p(x) - x) >= bound:
+                if (p_cand.min() > 0.0 and x.min() >= _BOUNDARY_KEEP - 1.0
+                        and c @ (np.log1p(x) - x) >= bound):
                     move = to_cand if ahead is None else ahead + to_cand
                     gain = float(c @ np.log1p(born(move) / p) - np.log1p(move.trace().real))
                     break
@@ -304,8 +324,147 @@ def _accelerated_ascent(projectors_real, c, rho, tol, max_iterations, on_iterati
     return rho, ll, gap, iterations, gap <= tol or failed_restarts == 2
 
 
+def _projected_steps(sigma: np.ndarray, move: np.ndarray) -> np.ndarray:
+    """``_projected_step`` on (B, 4, 4) stacks, row by row.
+
+    The eigenvalues of each row are projected onto the simplex at once:
+    in descending order with their running sums, each row keeps the
+    leading run of values above the threshold, as the scalar loop's
+    break does, and the rest are cut.
+    """
+    vals, vecs = np.linalg.eigh(sigma + move)
+    desc = vals[:, ::-1]
+    above = desc > (np.cumsum(desc, axis=1) - 1.0) / _RANKS
+    kept = np.cumprod(above, axis=1).sum(axis=1)
+    cut = _RANKS <= 4 - kept[:, None]  # the lowest 4 - kept values, ascending order
+    shift = (np.einsum("bii->b", move).real - np.where(cut, vals, 0.0).sum(axis=1)) / kept
+    weights = np.where(cut, shift[:, None] - vals, 0.0)
+    return (move - shift[:, None, None] * _EYE4
+            + (vecs * weights[:, None, :]) @ vecs.conj().swapaxes(1, 2))
+
+
+def _accelerated_ascent_batch(projectors_real, c, tol, max_iterations):
+    """``_accelerated_ascent`` on a (B, 36) stack of normalized weights, each row from I/4.
+
+    Every row keeps its own step length, theta, momentum term and
+    failed-restart count and takes the scalar path's decisions, with
+    its constants, its log1p acceptance test and its boundary guard;
+    backtracking halves only the rows not yet accepted.  Zero weights
+    drop out of every sum.  A row leaves the active set at the first of
+    the scalar stops: a certified gap of at most ``tol``, the floor stop
+    or the iteration cap.  Returns the symmetrized unit-trace states,
+    shape (B, 4, 4), with their gaps and iteration counts.
+    """
+    count = c.shape[0]
+    rho_out = np.empty((count, 4, 4), dtype=complex)
+    gap_out = np.empty(count)
+    iterations_out = np.empty(count, dtype=int)
+    to_born = projectors_real.T
+
+    def born(mats):
+        # Tr[Pi_k M] for a stack of Hermitian M, as one real product
+        return mats.reshape(-1, 16).view(np.float64) @ to_born
+
+    def over(num, den, observed):
+        return np.divide(num, den, out=np.zeros_like(den), where=observed)
+
+    def gradient(w, p, observed):
+        return (over(w, p, observed) @ projectors_real).view(complex).reshape(-1, 4, 4)
+
+    def positive(p, observed):
+        return np.where(observed, p, 1.0).min(axis=1) > 0.0
+
+    def row_dot(w, values):
+        return np.einsum("bk,bk->b", w, values)
+
+    rows = np.arange(count)
+    w = c
+    observed = w > 0.0
+    rho = np.repeat(_EYE4[None] / 4.0, count, axis=0).astype(complex)
+    p = born(rho)
+    r_rho = gradient(w, p, observed)
+    gap = np.linalg.eigvalsh(r_rho)[:, -1] - 1.0
+    ahead = np.zeros_like(rho)  # sigma - rho, zero on rows without momentum
+    ahead_on = np.zeros(count, dtype=bool)
+    theta = np.ones(count)
+    step = np.full(count, _STEP_START)
+    failed = np.zeros(count, dtype=int)
+    iterations = np.zeros(count, dtype=int)
+    # a step off the likelihood's domain yields nan, which every test below refuses
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while True:
+            done = ~(gap > tol) | (failed == 2) | (iterations >= max_iterations)
+            if done.any():
+                rho_out[rows[done]] = rho[done]
+                gap_out[rows[done]] = gap[done]
+                iterations_out[rows[done]] = iterations[done]
+                live = ~done
+                if not live.any():
+                    break
+                (rows, w, observed, rho, p, r_rho, gap, ahead, ahead_on, theta, step, failed,
+                 iterations) = (a[live] for a in (rows, w, observed, rho, p, r_rho, gap, ahead,
+                                                   ahead_on, theta, step, failed, iterations))
+            sigma, p_sigma, r_sigma = rho, p, r_rho
+            if ahead_on.any():
+                sigma = rho + ahead
+                p_sigma = np.where(ahead_on[:, None], born(sigma), p)
+                off = ahead_on & ~positive(p_sigma, observed)  # extrapolated off the domain
+                if off.any():
+                    theta[off], ahead[off], ahead_on = 1.0, 0.0, ahead_on & ~off
+                    sigma[off], p_sigma[off] = rho[off], p[off]
+                r_sigma = np.where(ahead_on[:, None, None], gradient(w, p_sigma, observed),
+                                   r_rho)
+            iterations += 1
+            cand, p_cand, move = np.empty_like(rho), np.empty_like(p), np.zeros_like(rho)
+            gain = np.full(rows.size, -np.inf)
+            todo = np.arange(rows.size)  # the rows not yet accepted, and their inputs
+            inputs = (sigma, r_sigma, p_sigma, p, ahead, w, observed)
+            for _ in range(_MAX_HALVINGS):
+                sigma_t, r_sigma_t, p_sigma_t, p_t, ahead_t, w_t, observed_t = inputs
+                step_t = step[todo]
+                to_cand = _projected_steps(sigma_t, step_t[:, None, None] * r_sigma_t)
+                cand_t = sigma_t + to_cand
+                p_cand_t = born(cand_t)
+                x = over(born(to_cand), p_sigma_t, observed_t)
+                flat = to_cand.reshape(-1, 16).view(np.float64)
+                bound = -row_dot(flat, flat) / (2.0 * step_t)
+                ok = (positive(p_cand_t, observed_t) & (x.min(axis=1) >= _BOUNDARY_KEEP - 1.0)
+                      & (row_dot(w_t, np.log1p(x) - x) >= bound))
+                move_t = ahead_t + to_cand
+                gain_t = (row_dot(w_t, np.log1p(over(born(move_t), p_t, observed_t)))
+                          - np.log1p(np.einsum("bii->b", move_t).real))
+                if ok.all() and todo.size == rows.size:  # every row accepted at once
+                    cand, p_cand, move, gain = cand_t, p_cand_t, move_t, gain_t
+                    break
+                hit = todo[ok]
+                cand[hit], p_cand[hit], move[hit], gain[hit] = (
+                    cand_t[ok], p_cand_t[ok], move_t[ok], gain_t[ok])
+                if ok.all():
+                    break
+                miss = ~ok
+                todo = todo[miss]
+                step[todo] *= 0.5
+                inputs = tuple(a[miss] for a in inputs)
+            good = gain > 0.0
+            restart = ~good & ~ahead_on  # a step from the iterate itself failed
+            failed = np.where(good, 0, failed + restart)
+            theta_next = (1.0 + np.sqrt(1.0 + 4.0 * theta * theta)) / 2.0
+            ahead_on = good & (theta > 1.0)
+            ahead = np.where(ahead_on, (theta - 1.0) / theta_next, 0.0)[:, None, None] * move
+            theta = np.where(good, theta_next, 1.0)
+            step *= np.where(good, _STEP_GROWTH, np.where(restart, 0.5, 1.0))
+            # an accepted step that does not raise the likelihood leaves rho as it is
+            rho = np.where(good[:, None, None], cand, rho)
+            p = np.where(good[:, None], p_cand, p)
+            r_rho = gradient(w, p, observed)
+            gap = np.linalg.eigvalsh(r_rho)[:, -1] - 1.0
+    rho_out = (rho_out + rho_out.conj().swapaxes(1, 2)) / 2.0
+    rho_out /= np.einsum("bii->b", rho_out).real[:, None, None]
+    return rho_out, gap_out, iterations_out
+
+
 def mle_reconstruct(frequencies, settings: TomographySettings,
-                    tol: float = 1e-10, max_iterations: int = 10000,
+                    tol: float = _TOL, max_iterations: int = _MAX_ITERATIONS,
                     rho_start=None, on_iteration=None) -> ReconstructionResult:
     """Maximum-likelihood state from 36 coincidence frequencies or counts.
 
@@ -436,16 +595,15 @@ def mle_curve(rho0: np.ndarray, eta_a: float, eta_b: float, n_bar_grid) -> list[
     from the achieved S, 1 - S / (2 sqrt(2)); for mixture-family states
     this coincides with the mixing weight.
 
-    Every grid value must be positive: a zero gain gives no coincidences
-    to reconstruct from.  The frequencies of all grid points come from
-    one array evaluation of the source model.  The points are fitted in
-    grid order, and each fit after the first starts from the previous
-    point's state with a 1e-6 admixture of the maximally mixed state,
-    which takes fewer iterations than a start from I/4.  A point's last
-    digits (about 1e-9 in S) therefore depend on the grid before it; the
-    same inputs still give identical output.
+    Every grid value must be positive and finite: a zero gain gives no
+    coincidences to reconstruct from.  The frequencies of all grid
+    points come from one array evaluation of the source model, and all
+    points are fitted as one stack, each from I/4 to the default
+    certified gap, so each point is independent of the rest of the grid.
     """
     grid = np.asarray(n_bar_grid, dtype=float)
+    # NaN and inf get the domain message; zero and negative gains the cause below
+    check_range("n_bar", grid[~np.isfinite(grid)], 0.0, open_lo=True)
     bad = grid[~(grid > 0.0)]
     if bad.size:
         raise ValueError(f"the pipeline curve needs n_bar > 0, got n_bar = {float(bad[0])!r}: "
@@ -455,15 +613,13 @@ def mle_curve(rho0: np.ndarray, eta_a: float, eta_b: float, n_bar_grid) -> list[
     probs = click_probabilities(rho0, settings.bloch_a, settings.bloch_b,
                                 SourceParams(n_bar=0.0, eta_a=eta_a, eta_b=eta_b))
     frequencies = coincidence_probability(probs, grid[:, None])
+    totals = frequencies.sum(axis=1, keepdims=True)
+    if not np.all(totals > 0.0):
+        raise ValueError("frequencies must not be all zero")
+    rhos, _, _ = _accelerated_ascent_batch(settings.projectors_real, frequencies / totals,
+                                           _TOL, _MAX_ITERATIONS)
     points = []
-    rho_start = None
-    for n_bar, freqs in zip(grid.tolist(), frequencies):
-        rho = mle_reconstruct(freqs, settings, rho_start=rho_start).rho
-        # every projector gives I/4 the probability 1/4, so each Born
-        # probability of the next start is at least 2.5e-7: a setting that
-        # gets counts only at the next gain cannot trip mle_reconstruct's
-        # zero-probability check on rho_start
-        rho_start = (1.0 - 1e-6) * rho + 1e-6 * _EYE4 / 4.0
+    for n_bar, rho in zip(grid.tolist(), rhos):
         r_c = coincidence_rate_exact(n_bar, eta_a, eta_b)
         qkd = metrics.QkdMetrics.from_state(rho, r_c)
         points.append(ModelPoint(n_bar=n_bar, kappa=1.0 - qkd.s / metrics.TSIRELSON,

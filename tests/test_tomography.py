@@ -22,6 +22,14 @@ def make_dataset(counts, tau_s=1e-9, duration_s=1.0):
                              tau_s=tau_s, duration_s=duration_s)
 
 
+def dephased_phi_plus(conc):
+    """|phi+> with its two coherences scaled by ``conc``."""
+    rho = PHI_PLUS.copy()
+    rho[0, 3] *= conc
+    rho[3, 0] *= conc
+    return rho
+
+
 def sampled_dataset(rho0, params, n_windows, rng, tau_s=1e-9):
     freqs = synthesize_frequencies(rho0, params, SETTINGS)
     counts = rng.poisson(freqs * n_windows)
@@ -185,13 +193,7 @@ class TestCertificate:
 
 
 class TestMleCurve:
-    """The warm-started pipeline curve against cold fits of each grid point."""
-
-    @staticmethod
-    def cold_fits(rho0, eta_a, eta_b, grid):
-        fits = [mle_reconstruct(synthesize_frequencies(rho0, SourceParams(n, eta_a, eta_b),
-                                                       SETTINGS), SETTINGS) for n in grid]
-        return fits, np.array([evaluate_state(fit.rho)[:2] for fit in fits])
+    """The batched pipeline curve against scalar cold fits of each grid point."""
 
     @pytest.mark.parametrize("case", ["compare_default", "rank_deficient"])
     def test_matches_cold_fits(self, case, monkeypatch):
@@ -201,43 +203,129 @@ class TestMleCurve:
             eta_a = eta_b = 0.16
             grid = np.geomspace(1e-4, 0.2, 80)
         else:
-            rho0 = PHI_PLUS.copy()
-            rho0[0, 3] *= 0.9
-            rho0[3, 0] *= 0.9
+            rho0 = dephased_phi_plus(0.9)
             eta_a, eta_b = 0.8, 0.3
             grid = np.geomspace(1e-3, 0.15, 40)
-        cold, cold_sq = self.cold_fits(rho0, eta_a, eta_b, grid)
+        frequencies = [synthesize_frequencies(rho0, SourceParams(n, eta_a, eta_b), SETTINGS)
+                       for n in grid]
+        cold = [mle_reconstruct(freqs, SETTINGS) for freqs in frequencies]
+        cold_sq = np.array([evaluate_state(fit.rho)[:2] for fit in cold])
 
-        warm_iterations = []
-        real = tomo.mle_reconstruct
+        stacks = []
+        real = tomo._accelerated_ascent_batch
 
-        def recorded(frequencies, settings, **kwargs):
-            result = real(frequencies, settings, **kwargs)
-            warm_iterations.append(result.iterations)
+        def recorded(*args):
+            result = real(*args)
+            stacks.append(result)
             return result
 
-        monkeypatch.setattr(tomo, "mle_reconstruct", recorded)
+        monkeypatch.setattr(tomo, "_accelerated_ascent_batch", recorded)
         points = mle_curve(rho0, eta_a, eta_b, grid)
         assert [pt.n_bar for pt in points] == grid.tolist()
-        warm_sq = np.array([(pt.s, pt.q) for pt in points])
-        assert np.max(np.abs(warm_sq - cold_sq)) <= 1e-8
-        assert sum(warm_iterations) < sum(fit.iterations for fit in cold)
+        batch_sq = np.array([(pt.s, pt.q) for pt in points])
+        assert np.max(np.abs(batch_sq - cold_sq)) <= 1e-8
+        assert len(stacks) == 1
+        rhos, _, iterations = stacks[0]
+        for freqs, rho in zip(frequencies, rhos):
+            assert helpers.likelihood_gap(freqs, rho) <= 1e-10
+        if case == "compare_default":
+            # full-rank rows take the scalar path's decisions, so roundoff
+            # can flip at most a few of them
+            same = iterations == np.array([fit.iterations for fit in cold])
+            assert np.mean(same) >= 0.9
 
     def test_repeatable(self):
         rho0 = werner_mix(PHI_PLUS, 0.05)
         grid = np.geomspace(1e-3, 0.1, 12)
         assert mle_curve(rho0, 0.7, 0.4, grid) == mle_curve(rho0, 0.7, 0.4, grid)
 
-    @pytest.mark.parametrize("grid", [[0.0, 0.05], [0.05, 0.0], [0.02, -0.01]])
-    def test_rejects_nonpositive_gain(self, grid, monkeypatch):
+    @pytest.mark.parametrize("grid,message", [
+        ([0.0, 0.05], r"n_bar = 0\.0: a zero gain gives no coincidences"),
+        ([0.05, 0.0], r"n_bar = 0\.0: a zero gain gives no coincidences"),
+        ([0.02, -0.01], r"n_bar = -0\.01: a zero gain gives no coincidences"),
+        ([0.1, math.nan], r"^n_bar must be positive and finite, got nan$"),
+        ([0.1, math.inf], r"^n_bar must be positive and finite, got inf$"),
+    ], ids=["grid0", "grid1", "grid2", "nan", "inf"])
+    def test_rejects_nonpositive_gain(self, grid, message, monkeypatch):
         import entqkd.tomography as tomo
 
         def no_fit(*args, **kwargs):
             raise AssertionError("a fit ran before the grid was checked")
 
         monkeypatch.setattr(tomo, "mle_reconstruct", no_fit)
-        with pytest.raises(ValueError, match=r"n_bar = (0\.0|-0\.01).*no coincidences"):
+        monkeypatch.setattr(tomo, "_accelerated_ascent_batch", no_fit)
+        with pytest.raises(ValueError, match=message):
             mle_curve(PHI_PLUS, 0.5, 0.5, grid)
+
+    def test_rejects_underflowing_frequencies(self):
+        # every coincidence probability of the smallest positive gain underflows to 0
+        with pytest.raises(ValueError, match="frequencies must not be all zero"):
+            mle_curve(PHI_PLUS, 0.5, 0.5, [0.1, 5e-324])
+
+
+class TestBatchedAscent:
+    """Every row of one stack certifies and matches the same counts fitted alone."""
+
+    def test_rows_certify_and_match_single_fits(self, rng):
+        rows = [SETTINGS.born_probabilities(helpers.random_density_matrix(rng, rank=rank))
+                for rank in (1, 2, 3, 4, 1, 2, 3, 4)]
+        # near-pure dephased states at low gain, the family the boundary guard is for
+        rows += [synthesize_frequencies(dephased_phi_plus(conc), SourceParams(n_bar, eta, eta),
+                                        SETTINGS)
+                 for conc in (0.95, 0.99) for n_bar in (1e-5, 1e-4) for eta in (0.16, 0.8)]
+        # |HH> never gives a V click: (V, V) and the other V rows are exact zeros
+        hh = np.zeros((4, 4), dtype=complex)
+        hh[0, 0] = 1.0
+        rows.append(synthesize_frequencies(hh, SourceParams(0.01, 0.8, 0.5), SETTINGS))
+        stack = np.array(rows)
+        assert stack[-1][SETTINGS.pairs.index(("V", "V"))] == 0.0
+        weights = stack / stack.sum(axis=1, keepdims=True)
+        rhos, gaps, _ = tomography._accelerated_ascent_batch(SETTINGS.projectors_real, weights,
+                                                             1e-10, 10000)
+        for freqs, w, rho, gap in zip(stack, weights, rhos, gaps):
+            assert gap <= 1e-10
+            assert helpers.likelihood_gap(freqs, rho) <= 1e-10
+            assert np.array_equal(rho, rho.conj().T)
+            assert np.trace(rho).real == pytest.approx(1.0, abs=1e-15)
+            alone, _, _ = tomography._accelerated_ascent_batch(SETTINGS.projectors_real,
+                                                              w[None], 1e-10, 10000)
+            assert np.max(np.abs(rho - alone[0])) <= 1e-8
+            assert np.max(np.abs(rho - mle_reconstruct(freqs, SETTINGS).rho)) <= 1e-8
+
+
+class TestBoundaryGuard:
+    """Fits that stopped far from the optimum while being flagged converged.
+
+    |phi+> with its coherences scaled by C, detected with eta_A = eta_B
+    at a low gain: without the boundary guard a step lands where an
+    observed probability nearly vanishes and the floor stop fires at a
+    gap far above the tolerance.  Each case is (index into
+    linspace(0.8, 0.999, 25) for C, eta, index into geomspace(1e-6,
+    1e-2, 9) for n_bar).
+    """
+
+    CASES = [(0, 1.0, 3), (0, 0.16, 0), (4, 0.5, 0), (5, 0.8, 1), (8, 0.16, 1), (14, 1.0, 0),
+             (15, 0.5, 0), (16, 0.16, 3), (20, 1.0, 2), (23, 0.8, 3)]
+
+    @classmethod
+    def frequencies(cls):
+        concs = np.linspace(0.8, 0.999, 25)
+        gains = np.geomspace(1e-6, 1e-2, 9)
+        return np.array([synthesize_frequencies(dephased_phi_plus(concs[i]),
+                                                SourceParams(gains[j], eta, eta), SETTINGS)
+                         for i, eta, j in cls.CASES])
+
+    def test_single_fits_certify(self):
+        for freqs in self.frequencies():
+            rec = mle_reconstruct(freqs, SETTINGS)
+            assert helpers.likelihood_gap(freqs, rec.rho) <= 1e-10
+
+    def test_batched_fits_certify(self):
+        stack = self.frequencies()
+        rhos, _, _ = tomography._accelerated_ascent_batch(
+            SETTINGS.projectors_real, stack / stack.sum(axis=1, keepdims=True), 1e-10, 10000)
+        for freqs, rho in zip(stack, rhos):
+            assert helpers.likelihood_gap(freqs, rho) <= 1e-10
 
 
 class TestFitKappa:
@@ -293,6 +381,12 @@ class TestCoincidenceRateFromCounts:
                              ("duration_s", math.nan)):
             with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
                 make_dataset(np.zeros(36), **{field: value})
+        # counts that int64 cannot hold are refused, not wrapped
+        for counts in (np.full(36, 1e30), np.full(36, 2.0 ** 63), [2 ** 70] * 36):
+            with pytest.raises(ValueError, match=r"^counts must be below 2\*\*63"):
+                TomographyDataset(SETTINGS, counts, 1e-9, 1.0)
+        ds = TomographyDataset(SETTINGS, np.full(36, 2.0 ** 62), 1e-9, 1.0)
+        assert ds.counts.dtype == np.int64 and np.all(ds.counts == 2 ** 62)
 
 
 class TestMonteCarlo:
