@@ -26,7 +26,7 @@ from .states import (BELL_LABELS, MAXIMALLY_MIXED, POLARIZATION_BLOCH,
                      bloch_projector, bloch_to_ket, concurrence,
                      correlation_analysis, fidelity, ket_to_dm, partial_trace,
                      pauli, validate_density_matrix, werner_mix)
-from .tomography import (PROJECTION_LABELS, ReconstructionResult,
+from .tomography import (PROJECTION_LABELS, ConvergenceError, ReconstructionResult,
                          TomographyDataset, TomographySettings,
                          UncertaintyReport, coincidence_rate_from_counts,
                          fit_kappa, mle_curve, mle_reconstruct,
@@ -36,7 +36,7 @@ __all__ = [
     "__version__",
     "BELL_LABELS", "MAXIMALLY_MIXED", "POLARIZATION_BLOCH", "POLARIZATION_KETS",
     "PROJECTION_LABELS",
-    "BasisSet", "CorrelationAnalysis", "GainOptimum",
+    "BasisSet", "ConvergenceError", "CorrelationAnalysis", "GainOptimum",
     "ModelPoint", "NoSecurityError", "NoSignalError", "QdThreshold",
     "QkdMetrics", "ReconstructionResult", "SourceParams", "TomographyDataset",
     "TomographySettings", "UncertaintyReport", "WaveplateSetting",

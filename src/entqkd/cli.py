@@ -11,9 +11,10 @@ compare      CSV series contrasting the CW source bound with ideal and
              noisy single-pair sources.
 table-check  Internal-consistency check of the bundled reference table.
 
-Exit codes: 0 success, 2 invalid input, 3 reconstruction did not
-converge (a partial report is still written).  All outputs are
-deterministic given the flags and seed.
+Exit codes: 0 success, 2 invalid input, 3 a reconstruction did not
+converge (``reconstruct`` still writes its report; ``model`` and
+``compare`` write no CSV).  All outputs are deterministic given the
+flags and seed.
 """
 
 from __future__ import annotations
@@ -121,6 +122,7 @@ def cmd_reconstruct(args) -> int:
         },
         "reconstruction": {
             "converged": result.converged,
+            "stop": result.stop,
             "iterations": result.iterations,
             "gap": result.gap,
             "log_likelihood": result.log_likelihood,
@@ -138,8 +140,8 @@ def cmd_reconstruct(args) -> int:
     }
     _write_text(dataio.canonical_json(report), args.out)
     if not result.converged:
-        print("warning: reconstruction did not converge within the iteration cap",
-              file=sys.stderr)
+        print(f"warning: reconstruction did not converge: stop {result.stop!r} at gap "
+              f"{result.gap:.3e}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     return EXIT_OK
 
@@ -197,7 +199,6 @@ def cmd_compare(args) -> int:
     else:
         s_target = check_range("--s-target", args.s_target, 0.0, metrics.TSIRELSON)
         rho0 = werner_mix(bell_state("phi+"), 1.0 - s_target / metrics.TSIRELSON)
-    os.makedirs(args.out_dir, exist_ok=True)
 
     dephasing = optimize.qd_threshold(0.95, "dephasing")
     white = optimize.qd_threshold(0.95, "white")
@@ -221,6 +222,7 @@ def cmd_compare(args) -> int:
             (row.tau_ns, row.r_c.value, row.s.value, row.q.value, row.r_dw.value,
              row.r_key.value) for row in refdata.load_reference_table()]),
     }
+    os.makedirs(args.out_dir, exist_ok=True)
     for name, (header, rows) in files.items():
         _write_text(dataio.csv_text(header, rows), os.path.join(args.out_dir, name))
 
@@ -320,6 +322,9 @@ def main(argv=None) -> int:
     except (dataio.DatasetFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except tomography.ConvergenceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NO_CONVERGENCE
 
 
 if __name__ == "__main__":

@@ -49,6 +49,8 @@ _MAX_HALVINGS = 60
 #: fraction of its probability at the point the step starts from
 _BOUNDARY_KEEP = 0.1
 _TOL = 1e-10
+#: a floor stop counts as converged only if its gap is at most this
+_FLOOR_GAP = 1e-8
 _MAX_ITERATIONS = 10000
 _EYE4 = np.eye(4)
 _RANKS = np.arange(1, 5)
@@ -137,13 +139,30 @@ class TomographyDataset:
 
 @dataclass(frozen=True)
 class ReconstructionResult:
-    """MLE state with the achieved log-likelihood and iteration diagnostics."""
+    """MLE state with the achieved log-likelihood and iteration diagnostics.
+
+    ``stop`` says why the ascent ended: ``"gap"`` when the certified gap
+    reached the tolerance, ``"floor"`` when two restarts in a row could
+    not raise the likelihood, ``"cap"`` at the iteration cap.
+    ``converged`` is true for a gap stop, and for a floor stop whose gap
+    is at most ``_FLOOR_GAP``.
+    """
 
     rho: np.ndarray
     log_likelihood: float
     iterations: int
     converged: bool
     gap: float
+    stop: str
+
+
+class ConvergenceError(RuntimeError):
+    """A pipeline curve point whose fit did not converge."""
+
+    def __init__(self, n_bar: float, gap: float, stop: str, unconverged: int):
+        super().__init__(f"the fit at n_bar = {n_bar!r} did not converge: stop {stop!r} at "
+                         f"gap {gap:.3e}, {unconverged} unconverged point(s) in the grid")
+        self.n_bar, self.gap, self.stop = n_bar, gap, stop
 
 
 @dataclass(frozen=True)
@@ -160,7 +179,7 @@ class UncertaintyReport:
     r_key_std: float
     samples: int
     seed: int
-    #: samples whose reconstruction hit the iteration cap; they stay in the means
+    #: samples whose reconstruction did not converge; they stay in the means
     unconverged: int
 
     def to_json_dict(self) -> dict:
@@ -190,6 +209,11 @@ def _check_frequencies(frequencies) -> np.ndarray:
     if c.sum() <= 0.0:
         raise ValueError("frequencies must not be all zero")
     return c
+
+
+def _certified(stop: str, gap: float) -> bool:
+    """Whether a fit that ended for ``stop`` at ``gap`` counts as converged."""
+    return stop == "gap" or (stop == "floor" and gap <= _FLOOR_GAP)
 
 
 def _log_likelihood(c: np.ndarray, p: np.ndarray) -> float:
@@ -251,8 +275,9 @@ def _accelerated_ascent(projectors_real, c, rho, tol, max_iterations, on_iterati
     Stops when the certified gap lambda_max(R(rho)) - 1 is at most
     ``tol`` (Glancy, Knill & Girard, NJP 14, 095017, 2012), or when two
     restarts in a row cannot raise the likelihood, which is the
-    floating-point floor.  Returns (rho, log-likelihood per unit
-    weight, gap, iterations, converged).
+    floating-point floor, or at the iteration cap.  Returns (rho,
+    log-likelihood per unit weight, gap, iterations, stop), stop being
+    ``"gap"``, ``"floor"`` or ``"cap"``.
     """
     observed = c > 0
     c = c[observed]
@@ -321,7 +346,8 @@ def _accelerated_ascent(projectors_real, c, rho, tol, max_iterations, on_iterati
                     continue
                 theta, ahead = 1.0, None  # extrapolated off the domain
             sigma, p_sigma, r_sigma = rho, p, r_rho
-    return rho, ll, gap, iterations, gap <= tol or failed_restarts == 2
+    stop = "gap" if gap <= tol else "floor" if failed_restarts == 2 else "cap"
+    return rho, ll, gap, iterations, stop
 
 
 def _projected_steps(sigma: np.ndarray, move: np.ndarray) -> np.ndarray:
@@ -330,14 +356,18 @@ def _projected_steps(sigma: np.ndarray, move: np.ndarray) -> np.ndarray:
     The eigenvalues of each row are projected onto the simplex at once:
     in descending order with their running sums, each row keeps the
     leading run of values above the threshold, as the scalar loop's
-    break does, and the rest are cut.
+    break does, and the rest are cut.  When no row cuts a value, as on
+    most passes of a fit, every step is its move less the mean trace.
     """
     vals, vecs = np.linalg.eigh(sigma + move)
     desc = vals[:, ::-1]
     above = desc > (np.cumsum(desc, axis=1) - 1.0) / _RANKS
+    trace = np.einsum("bii->b", move).real
+    if above.all():
+        return move - (trace / 4.0)[:, None, None] * _EYE4
     kept = np.cumprod(above, axis=1).sum(axis=1)
     cut = _RANKS <= 4 - kept[:, None]  # the lowest 4 - kept values, ascending order
-    shift = (np.einsum("bii->b", move).real - np.where(cut, vals, 0.0).sum(axis=1)) / kept
+    shift = (trace - np.where(cut, vals, 0.0).sum(axis=1)) / kept
     weights = np.where(cut, shift[:, None] - vals, 0.0)
     return (move - shift[:, None, None] * _EYE4
             + (vecs * weights[:, None, :]) @ vecs.conj().swapaxes(1, 2))
@@ -346,121 +376,146 @@ def _projected_steps(sigma: np.ndarray, move: np.ndarray) -> np.ndarray:
 def _accelerated_ascent_batch(projectors_real, c, tol, max_iterations):
     """``_accelerated_ascent`` on a (B, 36) stack of normalized weights, each row from I/4.
 
-    Every row keeps its own step length, theta, momentum term and
-    failed-restart count and takes the scalar path's decisions, with
-    its constants, its log1p acceptance test and its boundary guard;
-    backtracking halves only the rows not yet accepted.  Zero weights
-    drop out of every sum.  A row leaves the active set at the first of
-    the scalar stops: a certified gap of at most ``tol``, the floor stop
-    or the iteration cap.  Returns the symmetrized unit-trace states,
-    shape (B, 4, 4), with their gaps and iteration counts.
+    Every row keeps its own step length, theta, momentum term, restart
+    count and backtracking count, and takes the scalar path's decisions
+    with its constants, its log1p acceptance test, its boundary guard
+    and its positivity test.  Each pass makes one attempt for every live
+    row: a row whose attempt fails halves its step and tries again on
+    the next pass, and a row that completes an iteration (a step
+    accepted, or ``_MAX_HALVINGS`` failures) updates its iterate in the
+    same pass, so no row waits for another's backtracking.  An attempt
+    takes one Born product, of the step: the probabilities of the
+    extrapolated point and of the move from the iterate are sums with
+    those of the momentum term, taken once per momentum update.  Only a
+    candidate that passes the guard and the acceptance test gets its own
+    Born product, which its positivity test and, once it is accepted,
+    its gradient use.  Zero weights drop out of every sum.  A row leaves
+    the live set at the first of the scalar stops: a certified gap of at
+    most ``tol``, the floor stop or the iteration cap.  Returns the
+    symmetrized unit-trace states, shape (B, 4, 4), with their gaps,
+    completed iterations and stop reasons.
     """
     count = c.shape[0]
     rho_out = np.empty((count, 4, 4), dtype=complex)
     gap_out = np.empty(count)
     iterations_out = np.empty(count, dtype=int)
+    stop_out = np.empty(count, dtype="<U5")
     to_born = projectors_real.T
 
     def born(mats):
         # Tr[Pi_k M] for a stack of Hermitian M, as one real product
         return mats.reshape(-1, 16).view(np.float64) @ to_born
 
-    def over(num, den, observed):
-        return np.divide(num, den, out=np.zeros_like(den), where=observed)
-
-    def gradient(w, p, observed):
-        return (over(w, p, observed) @ projectors_real).view(complex).reshape(-1, 4, 4)
-
-    def positive(p, observed):
-        return np.where(observed, p, 1.0).min(axis=1) > 0.0
+    def gradient(w, p):
+        return ((w / p) @ projectors_real).view(complex).reshape(-1, 4, 4)
 
     def row_dot(w, values):
         return np.einsum("bk,bk->b", w, values)
 
     rows = np.arange(count)
     w = c
-    observed = w > 0.0
+    # the probabilities of unobserved settings are held at +inf: every ratio
+    # over them is 0, so they drop out of every sum, minimum and gradient
+    unobserved = np.where(w > 0.0, 0.0, np.inf)
     rho = np.repeat(_EYE4[None] / 4.0, count, axis=0).astype(complex)
-    p = born(rho)
-    r_rho = gradient(w, p, observed)
+    p = born(rho) + unobserved
+    r_rho = gradient(w, p)
     gap = np.linalg.eigvalsh(r_rho)[:, -1] - 1.0
-    ahead = np.zeros_like(rho)  # sigma - rho, zero on rows without momentum
+    # sigma = rho + ahead, the point the next attempt steps from; ahead and
+    # its probabilities are zero on rows without momentum
+    sigma, p_sigma, r_sigma = rho.copy(), p.copy(), r_rho.copy()
+    ahead, p_ahead = np.zeros_like(rho), np.zeros_like(p)
     ahead_on = np.zeros(count, dtype=bool)
     theta = np.ones(count)
     step = np.full(count, _STEP_START)
     failed = np.zeros(count, dtype=int)
-    iterations = np.zeros(count, dtype=int)
+    halvings = np.zeros(count, dtype=int)  # failed attempts of the current iteration
+    iterations = np.zeros(count, dtype=int)  # completed iterations
+    completed = True  # whether a row completed an iteration since the last stop test
     # a step off the likelihood's domain yields nan, which every test below refuses
     with np.errstate(divide="ignore", invalid="ignore"):
         while True:
-            done = ~(gap > tol) | (failed == 2) | (iterations >= max_iterations)
-            if done.any():
-                rho_out[rows[done]] = rho[done]
-                gap_out[rows[done]] = gap[done]
-                iterations_out[rows[done]] = iterations[done]
-                live = ~done
-                if not live.any():
-                    break
-                (rows, w, observed, rho, p, r_rho, gap, ahead, ahead_on, theta, step, failed,
-                 iterations) = (a[live] for a in (rows, w, observed, rho, p, r_rho, gap, ahead,
-                                                   ahead_on, theta, step, failed, iterations))
-            sigma, p_sigma, r_sigma = rho, p, r_rho
-            if ahead_on.any():
-                sigma = rho + ahead
-                p_sigma = np.where(ahead_on[:, None], born(sigma), p)
-                off = ahead_on & ~positive(p_sigma, observed)  # extrapolated off the domain
-                if off.any():
-                    theta[off], ahead[off], ahead_on = 1.0, 0.0, ahead_on & ~off
-                    sigma[off], p_sigma[off] = rho[off], p[off]
-                r_sigma = np.where(ahead_on[:, None, None], gradient(w, p_sigma, observed),
-                                   r_rho)
-            iterations += 1
-            cand, p_cand, move = np.empty_like(rho), np.empty_like(p), np.zeros_like(rho)
-            gain = np.full(rows.size, -np.inf)
-            todo = np.arange(rows.size)  # the rows not yet accepted, and their inputs
-            inputs = (sigma, r_sigma, p_sigma, p, ahead, w, observed)
-            for _ in range(_MAX_HALVINGS):
-                sigma_t, r_sigma_t, p_sigma_t, p_t, ahead_t, w_t, observed_t = inputs
-                step_t = step[todo]
-                to_cand = _projected_steps(sigma_t, step_t[:, None, None] * r_sigma_t)
-                cand_t = sigma_t + to_cand
-                p_cand_t = born(cand_t)
-                x = over(born(to_cand), p_sigma_t, observed_t)
-                flat = to_cand.reshape(-1, 16).view(np.float64)
-                bound = -row_dot(flat, flat) / (2.0 * step_t)
-                ok = (positive(p_cand_t, observed_t) & (x.min(axis=1) >= _BOUNDARY_KEEP - 1.0)
-                      & (row_dot(w_t, np.log1p(x) - x) >= bound))
-                move_t = ahead_t + to_cand
-                gain_t = (row_dot(w_t, np.log1p(over(born(move_t), p_t, observed_t)))
-                          - np.log1p(np.einsum("bii->b", move_t).real))
-                if ok.all() and todo.size == rows.size:  # every row accepted at once
-                    cand, p_cand, move, gain = cand_t, p_cand_t, move_t, gain_t
-                    break
-                hit = todo[ok]
-                cand[hit], p_cand[hit], move[hit], gain[hit] = (
-                    cand_t[ok], p_cand_t[ok], move_t[ok], gain_t[ok])
-                if ok.all():
-                    break
-                miss = ~ok
-                todo = todo[miss]
-                step[todo] *= 0.5
-                inputs = tuple(a[miss] for a in inputs)
-            good = gain > 0.0
-            restart = ~good & ~ahead_on  # a step from the iterate itself failed
-            failed = np.where(good, 0, failed + restart)
-            theta_next = (1.0 + np.sqrt(1.0 + 4.0 * theta * theta)) / 2.0
-            ahead_on = good & (theta > 1.0)
-            ahead = np.where(ahead_on, (theta - 1.0) / theta_next, 0.0)[:, None, None] * move
-            theta = np.where(good, theta_next, 1.0)
-            step *= np.where(good, _STEP_GROWTH, np.where(restart, 0.5, 1.0))
-            # an accepted step that does not raise the likelihood leaves rho as it is
-            rho = np.where(good[:, None, None], cand, rho)
-            p = np.where(good[:, None], p_cand, p)
-            r_rho = gradient(w, p, observed)
-            gap = np.linalg.eigvalsh(r_rho)[:, -1] - 1.0
+            if completed:
+                done = ~(gap > tol) | (failed == 2) | (iterations >= max_iterations)
+                if done.any():
+                    out = rows[done]
+                    rho_out[out] = rho[done]
+                    gap_out[out] = gap[done]
+                    iterations_out[out] = iterations[done]
+                    stop_out[out] = np.where(gap[done] <= tol, "gap",
+                                             np.where(failed[done] == 2, "floor", "cap"))
+                    live = ~done
+                    if not live.any():
+                        break
+                    (rows, w, unobserved, rho, p, r_rho, gap, sigma, p_sigma, r_sigma, ahead,
+                     p_ahead, ahead_on, theta, step, failed, halvings, iterations) = (
+                        a[live] for a in (rows, w, unobserved, rho, p, r_rho, gap, sigma,
+                                          p_sigma, r_sigma, ahead, p_ahead, ahead_on, theta,
+                                          step, failed, halvings, iterations))
+            to_cand = _projected_steps(sigma, step[:, None, None] * r_sigma)
+            dp = born(to_cand)
+            x = dp / p_sigma
+            flat = to_cand.reshape(-1, 16).view(np.float64)
+            bound = -row_dot(flat, flat) / (2.0 * step)
+            # an iteration makes at most _MAX_HALVINGS attempts, as the scalar loop does
+            ok = ((halvings < _MAX_HALVINGS) & (x.min(axis=1) >= _BOUNDARY_KEEP - 1.0)
+                  & (row_dot(w, np.log1p(x) - x) >= bound))
+            # the candidates that pass get their own Born product, which an accepted
+            # iterate keeps; the guard holds them positive up to roundoff, which can
+            # still zero the probability of a setting with a tiny weight
+            hit = np.flatnonzero(ok)
+            cand = sigma[hit] + to_cand[hit]
+            p_cand = born(cand) + unobserved[hit]
+            ok[hit] = p_cand.min(axis=1) > 0.0
+            step *= np.where(ok, 1.0, 0.5)
+            halvings = np.where(ok, 0, halvings + 1)
+            complete = ok | (halvings >= _MAX_HALVINGS)
+            completed = complete.any()
+            if not completed:
+                continue
+            # the rows that completed an iteration: the scalar path's bookkeeping, row by row
+            halvings[complete] = 0
+            iterations += complete
+            move = ahead + to_cand
+            gain = (row_dot(w, np.log1p((p_ahead + dp) / p))
+                    - np.log1p(np.einsum("bii->b", move).real))
+            good = ok & (gain > 0.0)
+            bad = np.flatnonzero(complete & ~good)
+            if bad.size:  # an iteration that raised nothing restarts from the iterate
+                restart = bad[~ahead_on[bad]]  # a step from the iterate itself failed
+                failed[restart] += 1
+                step[restart] *= 0.5
+                theta[bad], ahead_on[bad] = 1.0, False
+                ahead[bad], p_ahead[bad] = 0.0, 0.0
+                sigma[bad], p_sigma[bad], r_sigma[bad] = rho[bad], p[bad], r_rho[bad]
+            acc = np.flatnonzero(good)
+            if acc.size:
+                failed[acc] = 0
+                step[acc] *= _STEP_GROWTH
+                w_a, theta_a, kept = w[acc], theta[acc], good[hit]
+                theta_next = (1.0 + np.sqrt(1.0 + 4.0 * theta_a * theta_a)) / 2.0
+                theta[acc] = theta_next
+                on = theta_a > 1.0  # momentum from the second accepted step on
+                rho_a, p_a = cand[kept], p_cand[kept]
+                coef = np.where(on, (theta_a - 1.0) / theta_next, 0.0)
+                ahead_a = coef[:, None, None] * move[acc]
+                p_ahead_a = born(ahead_a)
+                p_sigma_a = p_a + p_ahead_a
+                off = on & ~(p_sigma_a.min(axis=1) > 0.0)
+                if off.any():  # extrapolated off the domain
+                    on &= ~off
+                    theta[acc[off]] = 1.0
+                    ahead_a[off], p_ahead_a[off], p_sigma_a[off] = 0.0, 0.0, p_a[off]
+                ahead_on[acc] = on
+                r_a = gradient(w_a, p_a)
+                rho[acc], p[acc], r_rho[acc] = rho_a, p_a, r_a
+                gap[acc] = np.linalg.eigvalsh(r_a)[:, -1] - 1.0
+                ahead[acc], p_ahead[acc] = ahead_a, p_ahead_a
+                sigma[acc], p_sigma[acc] = rho_a + ahead_a, p_sigma_a
+                r_sigma[acc] = np.where(on[:, None, None], gradient(w_a, p_sigma_a), r_a)
     rho_out = (rho_out + rho_out.conj().swapaxes(1, 2)) / 2.0
     rho_out /= np.einsum("bii->b", rho_out).real[:, None, None]
-    return rho_out, gap_out, iterations_out
+    return rho_out, gap_out, iterations_out, stop_out
 
 
 def mle_reconstruct(frequencies, settings: TomographySettings,
@@ -477,11 +532,12 @@ def mle_reconstruct(frequencies, settings: TomographySettings,
         Stop once the certified gap lambda_max(R) - 1 is at most ``tol``;
         it bounds the log-likelihood per unit weight still to be gained.
         Ascents that reach the floating-point floor first (two restarts
-        in a row that cannot raise the likelihood) also count as
-        converged; ``gap`` then tells how close they came.
+        in a row that cannot raise the likelihood) stop with
+        ``stop="floor"`` and count as converged only at a gap of at
+        most 1e-8.
     max_iterations : int
-        Iteration cap; hitting it returns the best iterate flagged
-        ``converged=False``.
+        Iteration cap; hitting it returns the best iterate with
+        ``stop="cap"`` and ``converged=False``.
     rho_start : array_like, optional
         Starting state (default: maximally mixed).  It must give every
         setting with a nonzero frequency a positive probability.
@@ -493,7 +549,8 @@ def mle_reconstruct(frequencies, settings: TomographySettings,
     -------
     ReconstructionResult
         ``log_likelihood`` is reported on the scale of the input
-        frequencies; ``gap`` is lambda_max(R) - 1 at the returned state.
+        frequencies; ``gap`` is lambda_max(R) - 1 at the returned state
+        and ``stop`` the reason the ascent ended.
     """
     c = _check_frequencies(frequencies)
     total = c.sum()
@@ -503,12 +560,12 @@ def mle_reconstruct(frequencies, settings: TomographySettings,
         rho = np.eye(4, dtype=complex) / 4.0
     else:
         rho = validate_density_matrix(rho_start, name="rho_start").astype(complex)
-    rho, ll, gap, iterations, converged = _accelerated_ascent(
+    rho, ll, gap, iterations, stop = _accelerated_ascent(
         settings.projectors_real, c, rho, tol, max_iterations, on_iteration)
     rho = (rho + rho.conj().T) / 2.0
     rho /= np.trace(rho).real
-    return ReconstructionResult(rho=rho, log_likelihood=ll * total,
-                                iterations=iterations, converged=converged, gap=gap)
+    return ReconstructionResult(rho=rho, log_likelihood=ll * total, iterations=iterations,
+                                converged=_certified(stop, gap), gap=gap, stop=stop)
 
 
 def fit_kappa(frequencies, settings: TomographySettings, rho_b: np.ndarray) -> float:
@@ -600,6 +657,8 @@ def mle_curve(rho0: np.ndarray, eta_a: float, eta_b: float, n_bar_grid) -> list[
     points come from one array evaluation of the source model, and all
     points are fitted as one stack, each from I/4 to the default
     certified gap, so each point is independent of the rest of the grid.
+    A point whose fit does not converge raises ``ConvergenceError``, so
+    no uncertified point is returned.
     """
     grid = np.asarray(n_bar_grid, dtype=float)
     # NaN and inf get the domain message; zero and negative gains the cause below
@@ -616,8 +675,13 @@ def mle_curve(rho0: np.ndarray, eta_a: float, eta_b: float, n_bar_grid) -> list[
     totals = frequencies.sum(axis=1, keepdims=True)
     if not np.all(totals > 0.0):
         raise ValueError("frequencies must not be all zero")
-    rhos, _, _ = _accelerated_ascent_batch(settings.projectors_real, frequencies / totals,
-                                           _TOL, _MAX_ITERATIONS)
+    rhos, gaps, _, stops = _accelerated_ascent_batch(settings.projectors_real,
+                                                     frequencies / totals, _TOL, _MAX_ITERATIONS)
+    failed = [(n_bar, gap, stop)
+              for n_bar, gap, stop in zip(grid.tolist(), gaps.tolist(), stops.tolist())
+              if not _certified(stop, gap)]
+    if failed:
+        raise ConvergenceError(*failed[0], unconverged=len(failed))
     points = []
     for n_bar, rho in zip(grid.tolist(), rhos):
         r_c = coincidence_rate_exact(n_bar, eta_a, eta_b)

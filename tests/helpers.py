@@ -150,6 +150,27 @@ def likelihood_gap(frequencies, rho: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(r_op)[-1] - 1.0)
 
 
+def project_onto_density_matrices(h: np.ndarray) -> np.ndarray:
+    """Nearest density matrix to the Hermitian h in Frobenius norm.
+
+    The eigenvalues are projected onto the probability simplex by the
+    sort-based rule: sorted in descending order, the threshold is set by
+    the last of them that stays above (its running sum - 1) / its rank,
+    and every eigenvalue is lowered by it and clipped at 0 (Held, Wolfe
+    & Crowder 1974).  The result is assembled from the eigenvectors.
+    """
+    vals, vecs = np.linalg.eigh(h)
+    ordered = sorted(vals.tolist(), reverse=True)
+    total, threshold = 0.0, 0.0
+    for rank, val in enumerate(ordered, start=1):
+        total += val
+        if val - (total - 1.0) / rank > 0.0:
+            threshold = (total - 1.0) / rank
+    clipped = [max(val - threshold, 0.0) for val in vals.tolist()]
+    return sum(weight * np.outer(vecs[:, i], vecs[:, i].conj())
+               for i, weight in enumerate(clipped))
+
+
 def coincidence_series(p11: float, p10: float, p01: float, p00: float,
                        n_bar: float, tail: float = 1e-15) -> float:
     """Literal Poisson-mixture sum, truncated once the tail is below ``tail``."""

@@ -36,6 +36,7 @@ class TestReconstruct:
         assert report["metrics"]["S"] == pytest.approx(2 * math.sqrt(2), abs=1e-3)
         assert report["metrics"]["r_dw"] == pytest.approx(1.0, abs=2e-3)
         assert report["reconstruction"]["converged"] is True
+        assert report["reconstruction"]["stop"] == "gap"
         assert report["reconstruction"]["gap"] <= 1e-10
         assert report["bases"]["achieved_S"] == pytest.approx(report["metrics"]["S"], abs=1e-9)
         assert report["uncertainty"] is None
@@ -87,7 +88,20 @@ class TestReconstruct:
         assert main(["reconstruct", str(ds_path), "--out", str(out)]) == 3
         report = json.loads(out.read_text())
         assert report["reconstruction"]["converged"] is False
-        assert "did not converge" in capsys.readouterr().err
+        assert report["reconstruction"]["stop"] == "cap"
+        assert "did not converge: stop 'cap'" in capsys.readouterr().err
+
+    def test_uncertified_floor_stop_exits_3(self, tmp_path, monkeypatch, capsys):
+        # no backtracking attempt is allowed, so the floor stop fires far from the optimum
+        import entqkd.cli as cli
+        monkeypatch.setattr(cli.tomography, "_MAX_HALVINGS", 0)
+        ds_path = bell_dataset(tmp_path / "bell.json")
+        out = tmp_path / "report.json"
+        assert main(["reconstruct", str(ds_path), "--out", str(out)]) == 3
+        rec = json.loads(out.read_text())["reconstruction"]
+        assert (rec["converged"], rec["stop"], rec["iterations"]) == (False, "floor", 2)
+        assert rec["gap"] > 1e-8
+        assert "did not converge: stop 'floor'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("field,value", [("duration_s", math.inf), ("tau_s", math.nan)])
     def test_non_finite_timing_exits_2_before_any_fit(self, tmp_path, monkeypatch, capsys,
@@ -150,6 +164,18 @@ class TestModel:
         # the closed-form curve has an n_bar = 0 row on the same grid
         assert main(["model", "--eta", "0.16", "--nbar-grid", "0:0.1:5",
                      "--out", str(tmp_path / "c.csv")]) == 0
+
+    def test_rho0_pipeline_unconverged_exits_3(self, tmp_path, monkeypatch, capsys):
+        import entqkd.cli as cli
+        monkeypatch.setattr(cli.tomography, "_MAX_HALVINGS", 0)
+        rho_path = tmp_path / "w.json"
+        rho_path.write_text(canonical_json(density_matrix_to_json(
+            werner_mix(bell_state("phi+"), 0.02))))
+        out = tmp_path / "curve.csv"
+        assert main(["model", "--eta", "0.5", "--nbar-grid", "0.001:0.1:4",
+                     "--rho0-file", str(rho_path), "--out", str(out)]) == 3
+        assert "error: the fit at n_bar = 0.001 did not converge" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_log_grid(self, tmp_path):
         out = tmp_path / "curve.csv"
@@ -239,6 +265,14 @@ class TestCompare:
             warnings.simplefilter("error")
             assert main(["compare", "--s-target", value, "--out-dir", str(out_dir)]) == 2
         assert "error: --s-target must lie in [0, 2.828427125]" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_unconverged_curve_exits_3_without_output(self, tmp_path, monkeypatch, capsys):
+        import entqkd.cli as cli
+        monkeypatch.setattr(cli.tomography, "_MAX_HALVINGS", 0)
+        out_dir = tmp_path / "cmp"
+        assert main(["compare", "--nbar-grid", "0.001:0.2:8", "--out-dir", str(out_dir)]) == 3
+        assert "error: the fit at n_bar = 0.001 did not converge" in capsys.readouterr().err
         assert not out_dir.exists()
 
     def test_reference_points_carry_all_rows(self, tmp_path):

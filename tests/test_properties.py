@@ -1,7 +1,9 @@
 """Property tests over random mixed states and random local unitaries.
 
 Examples are derandomized and bounded in number, so a run is
-deterministic and takes a few seconds.
+deterministic and takes a few seconds.  The fits of random states and
+of near-pure dephased states at low gain must certify and reproduce
+their input probabilities, through both solver paths.
 """
 
 import math
@@ -11,10 +13,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from entqkd import correlation_analysis, evaluate_state, optimal_bases, verify_bases
+import helpers
+from entqkd import (SourceParams, TomographySettings, bell_state, correlation_analysis,
+                    evaluate_state, mle_reconstruct, optimal_bases, synthesize_frequencies,
+                    tomography, verify_bases, waveplate_angles)
 from entqkd.bases import ORDERINGS
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=200, database=None)
+#: each example runs three fits, so fewer of them
+FITS = settings(derandomize=True, deadline=None, max_examples=12, database=None)
+SETTINGS = TomographySettings.canonical()
 
 _ENTRY = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
 _ANGLE = st.floats(0.0, 2.0 * math.pi, allow_nan=False, allow_infinity=False)
@@ -29,6 +37,30 @@ def mixed_states(draw):
     assume(np.linalg.norm(g) > 1e-3)
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
+
+
+@st.composite
+def dephased_low_gain_frequencies(draw):
+    """Near-pure |phi+> with coherences scaled by C in [0.95, 0.999], at n_bar 1e-5 or 1e-4."""
+    conc = draw(st.floats(0.95, 0.999))
+    n_bar = draw(st.sampled_from([1e-5, 1e-4]))
+    eta = draw(st.floats(0.1, 1.0))
+    rho = bell_state("phi+")
+    rho[0, 3] *= conc
+    rho[3, 0] *= conc
+    return synthesize_frequencies(rho, SourceParams(n_bar, eta, eta), SETTINGS)
+
+
+@st.composite
+def unit_vectors(draw):
+    v = np.array([draw(_ENTRY) for _ in range(3)])
+    assume(np.linalg.norm(v) > 1e-3)
+    return v / np.linalg.norm(v)
+
+
+#: the Bloch vectors of H, V, D, A, R and L
+_AXES = [np.array(v, dtype=float) for v in
+         ([0, 0, 1], [0, 0, -1], [1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0])]
 
 
 def _qubit_unitary(alpha: float, beta: float, gamma: float) -> np.ndarray:
@@ -69,3 +101,36 @@ def test_optimal_bases_reproduce_s_and_q(rho, ordering):
     s_achieved, q_achieved = verify_bases(rho, optimal_bases(rho, ordering))
     assert s_achieved == pytest.approx(s, abs=1e-9)
     assert q_achieved == pytest.approx(q, abs=1e-9)
+
+
+@FITS
+@given(rho=mixed_states(), dephased=dephased_low_gain_frequencies())
+def test_fits_certify_and_recover_the_probabilities(rho, dephased):
+    # certify or refuse: a converged fit carries its certificate and reproduces
+    # its input.  A state whose optimum leaves settings at zero can meet the
+    # floating-point floor first, near 1e-9 and on every solver path sometimes
+    # above 1e-8, and one whose frequencies span 270 decades can fail
+    # outright; both are refused
+    born = np.maximum(SETTINGS.born_probabilities(rho), 0.0)  # roundoff can dip below 0
+    stack = np.array([born, dephased])
+    weights = stack / stack.sum(axis=1, keepdims=True)
+    rhos, gaps, _, stops = tomography._accelerated_ascent_batch(SETTINGS.projectors_real,
+                                                                weights, 1e-10, 10000)
+    singles = [mle_reconstruct(freqs, SETTINGS) for freqs in stack]
+    assert stops[1] == "gap" and singles[1].stop == "gap"
+    for freqs, w, single, batched, gap, stop in zip(stack, weights, singles, rhos, gaps, stops):
+        for fit, fit_gap, fit_stop in ((single.rho, single.gap, single.stop),
+                                       (batched, gap, stop)):
+            if tomography._certified(fit_stop, fit_gap):
+                assert helpers.likelihood_gap(freqs, fit) <= (1e-10 if fit_stop == "gap"
+                                                              else 1e-8)
+                # every complementary quadruple of w sums to 1/9
+                assert np.max(np.abs(SETTINGS.born_probabilities(fit) - 9.0 * w)) <= 1e-4
+
+
+@PROPERTY
+@given(v=st.one_of(st.sampled_from(_AXES), unit_vectors()))
+def test_waveplate_dials_realize_the_projector(v):
+    dials = waveplate_angles(v)
+    realized = helpers.analyzer_projector(dials.theta_q, dials.theta_h)
+    assert np.max(np.abs(realized - helpers.bloch_projector_direct(v))) <= 1e-9

@@ -139,6 +139,7 @@ class TestMleReconstruct:
         rec = mle_reconstruct(SETTINGS.born_probabilities(rho), SETTINGS, max_iterations=2)
         assert not rec.converged
         assert rec.iterations == 2
+        assert rec.stop == "cap"
 
     def test_warm_start_reaches_same_optimum(self, rng):
         counts = rng.poisson(5000 * SETTINGS.born_probabilities(werner_mix(PHI_PLUS, 0.1)))
@@ -147,6 +148,34 @@ class TestMleReconstruct:
                                rho_start=0.9 * cold.rho + 0.1 * np.eye(4) / 4)
         assert np.max(np.abs(cold.rho - warm.rho)) < 1e-5
         assert warm.log_likelihood == pytest.approx(cold.log_likelihood, rel=1e-12)
+
+
+class TestStopReasons:
+    """``converged`` means certified: a gap stop, or a floor stop at a gap of at most 1e-8."""
+
+    WERNER = SETTINGS.born_probabilities(werner_mix(PHI_PLUS, 0.1))
+
+    def test_gap_stop(self):
+        rec = mle_reconstruct(self.WERNER, SETTINGS)
+        assert rec.stop == "gap" and rec.converged and rec.gap <= 1e-10
+
+    @pytest.mark.parametrize("stop,gap,converged", [
+        ("gap", 1e-10, True), ("floor", 1e-8, True), ("floor", 1.0000001e-8, False),
+        ("floor", math.nan, False), ("cap", 0.0, False)])
+    def test_certified(self, stop, gap, converged):
+        assert tomography._certified(stop, gap) is converged
+
+    def test_floor_stop_far_from_the_optimum_is_unconverged(self, monkeypatch):
+        # no backtracking attempt is allowed, so two restarts in a row fail at once
+        monkeypatch.setattr(tomography, "_MAX_HALVINGS", 0)
+        rec = mle_reconstruct(self.WERNER, SETTINGS)
+        assert (rec.iterations, rec.stop, rec.converged) == (2, "floor", False)
+        assert rec.gap == pytest.approx(0.30, abs=0.01)
+        weights = np.array([self.WERNER, self.WERNER]) / self.WERNER.sum()
+        _, gaps, iterations, stops = tomography._accelerated_ascent_batch(
+            SETTINGS.projectors_real, weights, 1e-10, 10000)
+        assert stops.tolist() == ["floor", "floor"] and iterations.tolist() == [2, 2]
+        assert np.all(gaps > 0.29)
 
 
 class TestCertificate:
@@ -225,7 +254,8 @@ class TestMleCurve:
         batch_sq = np.array([(pt.s, pt.q) for pt in points])
         assert np.max(np.abs(batch_sq - cold_sq)) <= 1e-8
         assert len(stacks) == 1
-        rhos, _, iterations = stacks[0]
+        rhos, _, iterations, stops = stacks[0]
+        assert set(stops) == {"gap"}
         for freqs, rho in zip(frequencies, rhos):
             assert helpers.likelihood_gap(freqs, rho) <= 1e-10
         if case == "compare_default":
@@ -257,10 +287,91 @@ class TestMleCurve:
         with pytest.raises(ValueError, match=message):
             mle_curve(PHI_PLUS, 0.5, 0.5, grid)
 
+    def test_unconverged_point_raises(self, monkeypatch):
+        monkeypatch.setattr(tomography, "_MAX_HALVINGS", 0)
+        with pytest.raises(tomography.ConvergenceError,
+                           match=r"^the fit at n_bar = 0\.001 did not converge: stop 'floor' at "
+                                 r"gap \d\.\d{3}e-\d\d, 4 unconverged point\(s\)") as info:
+            mle_curve(werner_mix(PHI_PLUS, 0.1), 0.7, 0.4, [1e-3, 1e-2, 0.05, 0.1])
+        assert isinstance(info.value, RuntimeError)
+        assert info.value.n_bar == 1e-3 and info.value.stop == "floor"
+        assert info.value.gap > 1e-8
+
     def test_rejects_underflowing_frequencies(self):
         # every coincidence probability of the smallest positive gain underflows to 0
         with pytest.raises(ValueError, match="frequencies must not be all zero"):
             mle_curve(PHI_PLUS, 0.5, 0.5, [0.1, 5e-324])
+
+
+def random_unitary(rng, dim=4):
+    q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def mixed_entangled_state(rng):
+    """Full-rank mixture of a locally rotated, partially entangled pure state,
+
+    a locally biased state and white noise, as in the gain benchmark.
+    """
+    ua, ub = helpers.random_single_qubit_unitary(rng), helpers.random_single_qubit_unitary(rng)
+    theta = rng.uniform(0.3, 0.65)
+    ket = np.kron(ua, ub) @ np.array([math.cos(theta), 0, 0, math.sin(theta)], dtype=complex)
+    biased = np.kron(ua @ np.diag([1.0, 0.0]) @ ua.conj().T, np.eye(2) / 2)
+    return 0.8 * np.outer(ket, ket.conj()) + 0.1 * biased + 0.1 * np.eye(4) / 4
+
+
+class TestProjectedSteps:
+    """``_projected_steps`` against ``_projected_step`` row by row and a sort-based oracle."""
+
+    @staticmethod
+    def cut_stack(rng, cuts):
+        """(sigma, move) stacks whose sums have ``cut`` eigenvalues the projection zeroes."""
+        sigmas, moves = [], []
+        for rank, cut in zip((4, 3, 2, 1, 2, 4, 1, 3), cuts):
+            kept = rng.uniform(0.2, 1.0, 4 - cut)
+            shift = rng.normal()
+            values = np.concatenate([shift - rng.uniform(0.05, 1.0, cut),
+                                     shift + kept / kept.sum()])
+            u = random_unitary(rng)
+            sigma = helpers.random_density_matrix(rng, rank=rank)
+            sigmas.append(sigma)
+            moves.append((u * values) @ u.conj().T - sigma)
+        return np.array(sigmas), np.array(moves)
+
+    @pytest.mark.parametrize("cuts", [[0, 1, 2, 3, 3, 2, 1, 0], [0] * 8],
+                             ids=["mixed_cuts", "no_cut"])
+    def test_matches_scalar_and_oracle(self, rng, cuts):
+        sigmas, moves = self.cut_stack(rng, cuts)
+        steps = tomography._projected_steps(sigmas, moves)
+        for sigma, move, step, cut in zip(sigmas, moves, steps, cuts):
+            assert np.max(np.abs(step - tomography._projected_step(sigma, move))) <= 1e-14
+            oracle = helpers.project_onto_density_matrices(sigma + move) - sigma
+            assert np.max(np.abs(step - oracle)) <= 1e-12
+            vals = np.linalg.eigvalsh(sigma + step)
+            assert np.all(np.abs(vals[:cut]) <= 1e-12) and np.all(vals[cut:] > 0.01)
+
+    def test_tiny_moves_do_not_cancel(self, rng):
+        # a move of 1e-12 from states of rank 4 down to 1: a step formed as the
+        # difference of two states would carry errors of about 1e-16, 1e-4 of it
+        sigmas, moves = [], []
+        for rank in (4, 3, 2, 1, 4, 3, 2, 1):
+            u = random_unitary(rng)
+            weights = np.concatenate([rng.uniform(0.2, 1.0, rank), np.zeros(4 - rank)])
+            sigmas.append((u * (weights / weights.sum())) @ u.conj().T)
+            h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            moves.append(1e-12 * (h + h.conj().T))
+        sigmas, moves = np.array(sigmas), np.array(moves)
+        steps = tomography._projected_steps(sigmas, moves)
+        for sigma, move, step in zip(sigmas, moves, steps):
+            size = np.max(np.abs(move))
+            assert np.max(np.abs(step - tomography._projected_step(sigma, move))) <= 1e-9 * size
+            assert abs(np.trace(step)) <= 1e-9 * size
+            oracle = helpers.project_onto_density_matrices(sigma + move) - sigma
+            assert np.max(np.abs(step - oracle)) <= 1e-15
+            assert np.linalg.eigvalsh(sigma + step)[0] >= -1e-15
+        # from a full-rank state nothing is cut: the step is the move less its mean trace
+        full = moves[0] - np.trace(moves[0]) / 4.0 * np.eye(4)
+        assert np.max(np.abs(steps[0] - full)) <= 1e-9 * np.max(np.abs(moves[0]))
 
 
 class TestBatchedAscent:
@@ -280,17 +391,72 @@ class TestBatchedAscent:
         stack = np.array(rows)
         assert stack[-1][SETTINGS.pairs.index(("V", "V"))] == 0.0
         weights = stack / stack.sum(axis=1, keepdims=True)
-        rhos, gaps, _ = tomography._accelerated_ascent_batch(SETTINGS.projectors_real, weights,
-                                                             1e-10, 10000)
+        rhos, gaps, _, stops = tomography._accelerated_ascent_batch(
+            SETTINGS.projectors_real, weights, 1e-10, 10000)
+        assert set(stops) == {"gap"}
         for freqs, w, rho, gap in zip(stack, weights, rhos, gaps):
             assert gap <= 1e-10
             assert helpers.likelihood_gap(freqs, rho) <= 1e-10
             assert np.array_equal(rho, rho.conj().T)
             assert np.trace(rho).real == pytest.approx(1.0, abs=1e-15)
-            alone, _, _ = tomography._accelerated_ascent_batch(SETTINGS.projectors_real,
-                                                              w[None], 1e-10, 10000)
+            alone, _, _, _ = tomography._accelerated_ascent_batch(SETTINGS.projectors_real,
+                                                                 w[None], 1e-10, 10000)
             assert np.max(np.abs(rho - alone[0])) <= 1e-8
             assert np.max(np.abs(rho - mle_reconstruct(freqs, SETTINGS).rho)) <= 1e-8
+
+    def test_roundoff_cannot_zero_an_accepted_probability(self):
+        # a pure state with an amplitude of 2.8e-141 gives four settings weights of
+        # about 2e-281, far below the roundoff of a Born product: the guard alone
+        # let an accepted iterate reach a zero probability there, and the gap's
+        # eigvalsh raised on the infinite gradient within 56 iterations
+        ket = np.array([-0.217, 0.366, 0.0, -2.84e-141])
+        freqs = SETTINGS.born_probabilities(np.outer(ket, ket) / (ket @ ket))
+        assert freqs.min() == 0.0 and 0.0 < freqs[freqs > 0].min() < 1e-280
+        _, gaps, iterations, stops = tomography._accelerated_ascent_batch(
+            SETTINGS.projectors_real, (freqs / freqs.sum())[None], 1e-10, 100)
+        assert stops.tolist() == ["cap"] and iterations.tolist() == [100]
+        assert gaps[0] == pytest.approx(mle_reconstruct(freqs, SETTINGS, max_iterations=100).gap,
+                                        rel=1e-6)
+
+    @pytest.mark.parametrize("case", ["compare_default", "mixed"])
+    def test_rows_do_not_wait_for_each_other(self, case, rng, monkeypatch):
+        # full-rank rows take the scalar path's decisions exactly, so one attempt
+        # per row per pass makes the stack as long as its slowest row alone
+        if case == "compare_default":
+            rho0 = werner_mix(PHI_PLUS, 1.0 - 2.815 / TSIRELSON)
+            eta_a = eta_b = 0.16
+            grid = np.geomspace(1e-4, 0.2, 80)
+        else:
+            rho0 = mixed_entangled_state(rng)
+            eta_a, eta_b = 0.8, 0.3
+            grid = np.geomspace(1e-3, 0.15, 40)
+        stack = np.array([synthesize_frequencies(rho0, SourceParams(n, eta_a, eta_b), SETTINGS)
+                          for n in grid])
+        weights = stack / stack.sum(axis=1, keepdims=True)
+        passes = []
+        real = tomography._projected_steps
+
+        def counted(sigma, move):
+            passes[-1] += 1
+            return real(sigma, move)
+
+        monkeypatch.setattr(tomography, "_projected_steps", counted)
+
+        def fit(w):
+            passes.append(0)
+            return tomography._accelerated_ascent_batch(SETTINGS.projectors_real, w, 1e-10,
+                                                        10000)
+
+        rhos, _, iterations, stops = fit(weights)
+        assert set(stops) == {"gap"}
+        alone = [fit(w[None]) for w in weights]
+        assert passes[0] == max(passes[1:])
+        scalar = [mle_reconstruct(freqs, SETTINGS) for freqs in stack]
+        assert (iterations.tolist() == [int(its[0]) for _, _, its, _ in alone]
+                == [rec.iterations for rec in scalar])
+        for rho, (rho_alone, _, _, _), rec in zip(rhos, alone, scalar):
+            assert np.max(np.abs(rho - rho_alone[0])) <= 1e-12
+            assert np.max(np.abs(rho - rec.rho)) <= 1e-12
 
 
 class TestBoundaryGuard:
@@ -318,12 +484,14 @@ class TestBoundaryGuard:
     def test_single_fits_certify(self):
         for freqs in self.frequencies():
             rec = mle_reconstruct(freqs, SETTINGS)
+            assert rec.stop == "gap" and rec.converged
             assert helpers.likelihood_gap(freqs, rec.rho) <= 1e-10
 
     def test_batched_fits_certify(self):
         stack = self.frequencies()
-        rhos, _, _ = tomography._accelerated_ascent_batch(
+        rhos, _, _, stops = tomography._accelerated_ascent_batch(
             SETTINGS.projectors_real, stack / stack.sum(axis=1, keepdims=True), 1e-10, 10000)
+        assert set(stops) == {"gap"}
         for freqs, rho in zip(stack, rhos):
             assert helpers.likelihood_gap(freqs, rho) <= 1e-10
 
