@@ -20,6 +20,7 @@ flags and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -311,14 +312,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built on the first call and reused: parse_args leaves a parser unchanged
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     if args.command == "compare" and args.eta is None and args.eta_a is None \
             and args.eta_b is None:
         args.eta = _DEFAULT_COMPARE_ETA
+    # looked up by name on every call, so a command wrapped after the parser
+    # was built is the one that runs
+    command = globals()[args.func.__name__]
     try:
-        return args.func(args)
+        return command(args)
     except (dataio.DatasetFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -17,7 +17,11 @@ with Nesterov momentum, projected back onto the density matrices, with
 a backtracked step length and a momentum restart whenever a step would
 lower the likelihood, so accepted iterates are monotone.  It stops on
 the certified gap lambda_max(R) - 1, which bounds the log-likelihood
-per count that any state could still add.
+per count that any state could still add.  Every fit starts from its
+own data: the linear-inversion estimate of the quadruple-normalized
+frequencies, projected onto the density matrices and mixed with a
+little of I/4 so that every setting starts with a positive
+probability (Smolin, Gambetta & Smith, PRL 108, 070502, 2012).
 
 Monte-Carlo uncertainty resamples every observed count as Poisson with
 the observed value as mean.  Per-sample generators are spawned from a
@@ -27,6 +31,7 @@ parallel scheduling of the samples.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -52,6 +57,8 @@ _TOL = 1e-10
 #: a floor stop counts as converged only if its gap is at most this
 _FLOOR_GAP = 1e-8
 _MAX_ITERATIONS = 10000
+#: weight of I/4 in a fit's start, which keeps every setting's probability >= _START_MIX / 4
+_START_MIX = 1e-3
 _EYE4 = np.eye(4)
 _RANKS = np.arange(1, 5)
 
@@ -86,22 +93,32 @@ class TomographySettings:
             groups[k] = axis[a] * 3 + axis[b]
         # Tr[Pi_k M] = projectors_real[k] @ M.reshape(16).view(float) for Hermitian M
         projectors_real = np.ascontiguousarray(projectors.reshape(36, 16)).view(np.float64)
-        for arr in (projectors, projectors_real, bloch_a, bloch_b, groups):
+        # least-squares inverse of that map: (f @ linear_inversion).view(complex) is
+        # the flattened Hermitian M whose probabilities are nearest to f
+        linear_inversion = np.ascontiguousarray(np.linalg.pinv(projectors_real).T)
+        for arr in (projectors, projectors_real, linear_inversion, bloch_a, bloch_b, groups):
             arr.flags.writeable = False
         object.__setattr__(self, "projectors", projectors)
         object.__setattr__(self, "projectors_real", projectors_real)
+        object.__setattr__(self, "linear_inversion", linear_inversion)
         object.__setattr__(self, "bloch_a", bloch_a)
         object.__setattr__(self, "bloch_b", bloch_b)
         object.__setattr__(self, "group_index", groups)
 
     @classmethod
     def canonical(cls) -> "TomographySettings":
-        return cls(tuple((a, b) for a in PROJECTION_LABELS for b in PROJECTION_LABELS))
+        """Row-major order; built once, as an instance never changes."""
+        return _canonical_settings(cls)
 
     def born_probabilities(self, rho: np.ndarray) -> np.ndarray:
         """<psi_k| rho |psi_k> for all 36 settings."""
         flat = np.ascontiguousarray(rho, dtype=complex).reshape(16).view(np.float64)
         return self.projectors_real @ flat
+
+
+@functools.cache
+def _canonical_settings(cls) -> TomographySettings:
+    return cls(tuple((a, b) for a in PROJECTION_LABELS for b in PROJECTION_LABELS))
 
 
 @dataclass(frozen=True)
@@ -350,34 +367,75 @@ def _accelerated_ascent(projectors_real, c, rho, tol, max_iterations, on_iterati
     return rho, ll, gap, iterations, stop
 
 
+def _simplex_kept_rows(vals: np.ndarray) -> np.ndarray:
+    """How many of each row's ascending eigenvalues, shape (B, 4), the simplex keeps.
+
+    In descending order with their running sums, each row keeps the
+    leading run of values above the threshold, as ``_projected_step``'s
+    loop does with its break.
+    """
+    desc = vals[:, ::-1]
+    above = desc > (np.cumsum(desc, axis=1) - 1.0) / _RANKS
+    return np.cumprod(above, axis=1).sum(axis=1)
+
+
 def _projected_steps(sigma: np.ndarray, move: np.ndarray) -> np.ndarray:
     """``_projected_step`` on (B, 4, 4) stacks, row by row.
 
-    The eigenvalues of each row are projected onto the simplex at once:
-    in descending order with their running sums, each row keeps the
-    leading run of values above the threshold, as the scalar loop's
-    break does, and the rest are cut.  When no row cuts a value, as on
-    most passes of a fit, every step is its move less the mean trace.
+    The cut is decided from every row's eigenvalues at once, and only
+    the rows that cut a value are diagonalized.  Every other row's step
+    is its move less the mean trace, which is all of them on most passes
+    of a gain curve.  (The scalar step diagonalizes at once: most steps
+    of a Monte-Carlo fit land on the boundary and cut.)
     """
-    vals, vecs = np.linalg.eigh(sigma + move)
-    desc = vals[:, ::-1]
-    above = desc > (np.cumsum(desc, axis=1) - 1.0) / _RANKS
+    total = sigma + move
     trace = np.einsum("bii->b", move).real
-    if above.all():
-        return move - (trace / 4.0)[:, None, None] * _EYE4
-    kept = np.cumprod(above, axis=1).sum(axis=1)
+    shift = trace / 4.0
+    rows = np.flatnonzero(_simplex_kept_rows(np.linalg.eigvalsh(total)) < 4)
+    if not rows.size:
+        return move - shift[:, None, None] * _EYE4
+    vals, vecs = np.linalg.eigh(total[rows])
+    kept = _simplex_kept_rows(vals)
     cut = _RANKS <= 4 - kept[:, None]  # the lowest 4 - kept values, ascending order
-    shift = (trace - np.where(cut, vals, 0.0).sum(axis=1)) / kept
-    weights = np.where(cut, shift[:, None] - vals, 0.0)
-    return (move - shift[:, None, None] * _EYE4
-            + (vecs * weights[:, None, :]) @ vecs.conj().swapaxes(1, 2))
+    shift[rows] = (trace[rows] - np.where(cut, vals, 0.0).sum(axis=1)) / kept
+    weights = np.where(cut, shift[rows, None] - vals, 0.0)
+    step = move - shift[:, None, None] * _EYE4
+    step[rows] += (vecs * weights[:, None, :]) @ vecs.conj().swapaxes(1, 2)
+    return step
 
 
-def _accelerated_ascent_batch(projectors_real, c, tol, max_iterations):
-    """``_accelerated_ascent`` on a (B, 36) stack of normalized weights, each row from I/4.
+def _start_states(settings: TomographySettings, w: np.ndarray) -> np.ndarray:
+    """Starting states for a (B, 36) stack of weights, shape (B, 4, 4).
 
-    Every row keeps its own step length, theta, momentum term, restart
-    count and backtracking count, and takes the scalar path's decisions
+    Each complementary quadruple is normalized to unit sum (an all-zero
+    one gets 1/4 per setting) and inverted linearly by
+    ``settings.linear_inversion``.  The estimate's eigenvalues are
+    projected onto the probability simplex, and ``_START_MIX`` of I/4 is
+    mixed in, so every setting starts with a probability of at least
+    ``_START_MIX / 4`` and any weight, even one the projection gave
+    probability 0, can be fitted.  The rows are independent.
+    """
+    group = settings.group_index
+    sums = w @ (group[:, None] == group)  # each setting's quadruple sum
+    f = np.divide(w, sums, out=np.full(w.shape, 0.25), where=sums > 0.0)
+    estimate = (f @ settings.linear_inversion).view(complex).reshape(-1, 4, 4)
+    vals, vecs = np.linalg.eigh(estimate)
+    kept = _simplex_kept_rows(vals)
+    cut = _RANKS <= 4 - kept[:, None]  # the lowest 4 - kept values, ascending order
+    threshold = (np.where(cut, 0.0, vals).sum(axis=1) - 1.0) / kept
+    vals = np.where(cut, 0.0, vals - threshold[:, None])
+    vals = (1.0 - _START_MIX) * vals + _START_MIX / 4.0
+    rho = (vecs * vals[:, None, :]) @ vecs.conj().swapaxes(1, 2)
+    return (rho + rho.conj().swapaxes(1, 2)) / 2.0
+
+
+def _accelerated_ascent_batch(projectors_real, c, rho, tol, max_iterations):
+    """``_accelerated_ascent`` on a (B, 36) stack of normalized weights from (B, 4, 4) starts.
+
+    Each start is scaled to unit trace, as the scalar path does, and must
+    give every setting of positive weight a positive probability.  Every
+    row keeps its own step length, theta, momentum term, restart count
+    and backtracking count, and takes the scalar path's decisions
     with its constants, its log1p acceptance test, its boundary guard
     and its positivity test.  Each pass makes one attempt for every live
     row: a row whose attempt fails halves its step and tries again on
@@ -417,7 +475,7 @@ def _accelerated_ascent_batch(projectors_real, c, tol, max_iterations):
     # the probabilities of unobserved settings are held at +inf: every ratio
     # over them is 0, so they drop out of every sum, minimum and gradient
     unobserved = np.where(w > 0.0, 0.0, np.inf)
-    rho = np.repeat(_EYE4[None] / 4.0, count, axis=0).astype(complex)
+    rho = rho / np.trace(rho, axis1=1, axis2=2).real[:, None, None]
     p = born(rho) + unobserved
     r_rho = gradient(w, p)
     gap = np.linalg.eigvalsh(r_rho)[:, -1] - 1.0
@@ -539,8 +597,10 @@ def mle_reconstruct(frequencies, settings: TomographySettings,
         Iteration cap; hitting it returns the best iterate with
         ``stop="cap"`` and ``converged=False``.
     rho_start : array_like, optional
-        Starting state (default: maximally mixed).  It must give every
-        setting with a nonzero frequency a positive probability.
+        Starting state.  It must give every setting with a nonzero
+        frequency a positive probability.  The default is the projected
+        linear-inversion estimate of the frequencies mixed with 0.1 % of
+        I/4, the start ``mle_curve`` gives each of its points.
     on_iteration : callable, optional
         Called as ``on_iteration(iteration, log_likelihood)`` after every
         accepted update (likelihoods are per unit weight, nondecreasing).
@@ -557,7 +617,7 @@ def mle_reconstruct(frequencies, settings: TomographySettings,
     c = c / total  # likelihood maximizer is scale invariant; normalize once
 
     if rho_start is None:
-        rho = np.eye(4, dtype=complex) / 4.0
+        rho = _start_states(settings, c[None])[0]
     else:
         rho = validate_density_matrix(rho_start, name="rho_start").astype(complex)
     rho, ll, gap, iterations, stop = _accelerated_ascent(
@@ -655,8 +715,9 @@ def mle_curve(rho0: np.ndarray, eta_a: float, eta_b: float, n_bar_grid) -> list[
     Every grid value must be positive and finite: a zero gain gives no
     coincidences to reconstruct from.  The frequencies of all grid
     points come from one array evaluation of the source model, and all
-    points are fitted as one stack, each from I/4 to the default
-    certified gap, so each point is independent of the rest of the grid.
+    points are fitted as one stack, each from its own projected
+    linear-inversion estimate to the default certified gap, so each
+    point is independent of the rest of the grid.
     A point whose fit does not converge raises ``ConvergenceError``, so
     no uncertified point is returned.
     """
@@ -675,8 +736,10 @@ def mle_curve(rho0: np.ndarray, eta_a: float, eta_b: float, n_bar_grid) -> list[
     totals = frequencies.sum(axis=1, keepdims=True)
     if not np.all(totals > 0.0):
         raise ValueError("frequencies must not be all zero")
-    rhos, gaps, _, stops = _accelerated_ascent_batch(settings.projectors_real,
-                                                     frequencies / totals, _TOL, _MAX_ITERATIONS)
+    weights = frequencies / totals
+    rhos, gaps, _, stops = _accelerated_ascent_batch(
+        settings.projectors_real, weights, _start_states(settings, weights), _TOL,
+        _MAX_ITERATIONS)
     failed = [(n_bar, gap, stop)
               for n_bar, gap, stop in zip(grid.tolist(), gaps.tolist(), stops.tolist())
               if not _certified(stop, gap)]

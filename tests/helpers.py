@@ -26,6 +26,9 @@ SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULIS = (SX, SY, SZ)
+#: roundoff between ``likelihood_gap`` and a solver's own gap at the same state,
+#: a few 1e-15; a fit stopped at 9.9999e-11 can read 1.00004e-10 here
+GAP_ROUNDOFF = 1e-14
 
 
 def random_density_matrix(rng, rank: int = 4, dim: int = 4) -> np.ndarray:

@@ -7,7 +7,9 @@ import pytest
 
 from entqkd import SourceParams, bell_state, synthesize_frequencies, werner_mix
 from entqkd.cli import main
-from entqkd.dataio import canonical_json, dataset_to_dict, density_matrix_to_json
+from entqkd.dataio import (canonical_json, dataset_to_dict, density_matrix_to_json,
+                           model_points_to_csv)
+from entqkd.spdc import model_curve
 from entqkd.tomography import TomographyDataset, TomographySettings
 
 SETTINGS = TomographySettings.canonical()
@@ -78,8 +80,9 @@ class TestReconstruct:
         real = cli.tomography.mle_reconstruct
 
         def capped(frequencies, settings, **kwargs):
-            # the exact Bell counts below certify after 3 iterations; 1 cannot
+            # from I/4 the exact Bell counts below certify after 3 iterations; 1 cannot
             kwargs["max_iterations"] = 1
+            kwargs["rho_start"] = np.eye(4) / 4.0
             return real(frequencies, settings, **kwargs)
 
         monkeypatch.setattr(cli.tomography, "mle_reconstruct", capped)
@@ -176,6 +179,23 @@ class TestModel:
                      "--rho0-file", str(rho_path), "--out", str(out)]) == 3
         assert "error: the fit at n_bar = 0.001 did not converge" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_rho0_pipeline_s_falls_with_gain(self, tmp_path):
+        # |phi+> with its coherences x 0.98: a fit stopped far from its optimum once
+        # gave the first point S = 2.77885 below the second's 2.79995
+        rho0 = bell_state("phi+")
+        rho0[0, 3] *= 0.98
+        rho0[3, 0] *= 0.98
+        rho_path = tmp_path / "rho0.json"
+        rho_path.write_text(canonical_json(density_matrix_to_json(rho0)))
+        out = tmp_path / "curve.csv"
+        assert main(["model", "--eta", "1", "--nbar-grid", "1e-4:0.15:40", "--log",
+                     "--rho0-file", str(rho_path), "--out", str(out)]) == 0
+        s = np.array([float(line.split(",")[2])
+                      for line in out.read_text().strip().split("\n")[1:]])
+        assert len(s) == 40
+        assert s[0] == pytest.approx(2.0 * math.sqrt(1.0 + 0.98 ** 2), abs=1e-3)  # 2.80029
+        assert np.all(np.diff(s) < 0.0)
 
     def test_log_grid(self, tmp_path):
         out = tmp_path / "curve.csv"
@@ -281,6 +301,31 @@ class TestCompare:
                      "--out-dir", str(out_dir)]) == 0
         rows = (out_dir / "reference_points.csv").read_text().strip().split("\n")
         assert len(rows) == 21  # header + 20 rows
+
+
+class TestParser:
+    """One parser serves every ``main`` call of a process."""
+
+    def test_calls_parse_independently(self, tmp_path):
+        grid = "0.001:0.1:5"
+        lossy, lossless = tmp_path / "lossy.csv", tmp_path / "lossless.csv"
+        assert main(["model", "--eta-a", "0.5", "--log", "--nbar-grid", grid,
+                     "--out", str(lossy)]) == 0
+        assert main(["model", "--nbar-grid", grid, "--out", str(lossless)]) == 0
+        # no flag of the first call leaks into the second: eta 1 on a linear grid
+        assert lossless.read_text() == model_points_to_csv(
+            model_curve(1.0, 1.0, np.linspace(0.001, 0.1, 5)))
+        assert lossy.read_text() == model_points_to_csv(
+            model_curve(0.5, 1.0, np.geomspace(0.001, 0.1, 5)))
+        opt = tmp_path / "opt.json"
+        assert main(["optimize", "--out", str(opt)]) == 0
+        assert json.loads(opt.read_text())["eta_a"] == 1.0
+
+    def test_commands_are_looked_up_when_called(self, monkeypatch):
+        import entqkd.cli as cli
+        assert main(["table-check"]) == 0  # the parser exists from here on
+        monkeypatch.setattr(cli, "cmd_table_check", lambda args: 7)
+        assert main(["table-check"]) == 7
 
 
 class TestHelp:

@@ -52,6 +52,19 @@ def dephased_low_gain_frequencies(draw):
 
 
 @st.composite
+def weight_stacks(draw):
+    """1 to 3 rows of 36 weights over 400 decades, with some quadruples all zero."""
+    rows = []
+    for _ in range(draw(st.integers(1, 3))):
+        row = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=36, max_size=36)))
+        row *= 10.0 ** draw(st.integers(-200, 200))
+        zeroed = draw(st.sets(st.integers(0, 8), max_size=9))
+        row[np.isin(SETTINGS.group_index, list(zeroed))] = 0.0
+        rows.append(row)
+    return np.array(rows)
+
+
+@st.composite
 def unit_vectors(draw):
     v = np.array([draw(_ENTRY) for _ in range(3)])
     assume(np.linalg.norm(v) > 1e-3)
@@ -114,18 +127,30 @@ def test_fits_certify_and_recover_the_probabilities(rho, dephased):
     born = np.maximum(SETTINGS.born_probabilities(rho), 0.0)  # roundoff can dip below 0
     stack = np.array([born, dephased])
     weights = stack / stack.sum(axis=1, keepdims=True)
-    rhos, gaps, _, stops = tomography._accelerated_ascent_batch(SETTINGS.projectors_real,
-                                                                weights, 1e-10, 10000)
+    rhos, gaps, _, stops = tomography._accelerated_ascent_batch(
+        SETTINGS.projectors_real, weights, tomography._start_states(SETTINGS, weights), 1e-10,
+        10000)
     singles = [mle_reconstruct(freqs, SETTINGS) for freqs in stack]
     assert stops[1] == "gap" and singles[1].stop == "gap"
     for freqs, w, single, batched, gap, stop in zip(stack, weights, singles, rhos, gaps, stops):
         for fit, fit_gap, fit_stop in ((single.rho, single.gap, single.stop),
                                        (batched, gap, stop)):
             if tomography._certified(fit_stop, fit_gap):
-                assert helpers.likelihood_gap(freqs, fit) <= (1e-10 if fit_stop == "gap"
-                                                              else 1e-8)
+                assert helpers.likelihood_gap(freqs, fit) <= helpers.GAP_ROUNDOFF + (
+                    1e-10 if fit_stop == "gap" else 1e-8)
                 # every complementary quadruple of w sums to 1/9
                 assert np.max(np.abs(SETTINGS.born_probabilities(fit) - 9.0 * w)) <= 1e-4
+
+
+@PROPERTY
+@given(w=weight_stacks())
+def test_start_states_are_interior_density_matrices(w):
+    floor = tomography._START_MIX / 4.0
+    for start in tomography._start_states(SETTINGS, w):
+        assert np.array_equal(start, start.conj().T)
+        assert np.trace(start).real == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.eigvalsh(start)[0] >= floor * (1.0 - 1e-9)
+        assert SETTINGS.born_probabilities(start).min() >= floor * (1.0 - 1e-9)
 
 
 @PROPERTY

@@ -15,6 +15,9 @@ from entqkd.metrics import TSIRELSON
 
 SETTINGS = TomographySettings.canonical()
 PHI_PLUS = bell_state("phi+")
+MIXED = np.eye(4, dtype=complex) / 4.0
+#: the certificate a default fit stops at, read through ``helpers.likelihood_gap``
+CERTIFIED = 1e-10 + helpers.GAP_ROUNDOFF
 
 
 def make_dataset(counts, tau_s=1e-9, duration_s=1.0):
@@ -28,6 +31,15 @@ def dephased_phi_plus(conc):
     rho[0, 3] *= conc
     rho[3, 0] *= conc
     return rho
+
+
+def batch_fit(weights, starts=None, max_iterations=10000):
+    """``_accelerated_ascent_batch`` of normalized weights to 1e-10, by default from
+    ``_start_states``, the start ``mle_curve`` and ``mle_reconstruct`` use."""
+    if starts is None:
+        starts = tomography._start_states(SETTINGS, weights)
+    return tomography._accelerated_ascent_batch(SETTINGS.projectors_real, weights, starts,
+                                                1e-10, max_iterations)
 
 
 def sampled_dataset(rho0, params, n_windows, rng, tau_s=1e-9):
@@ -167,13 +179,13 @@ class TestStopReasons:
 
     def test_floor_stop_far_from_the_optimum_is_unconverged(self, monkeypatch):
         # no backtracking attempt is allowed, so two restarts in a row fail at once
+        # from I/4, as far from this optimum as the gap of 0.30 below
         monkeypatch.setattr(tomography, "_MAX_HALVINGS", 0)
-        rec = mle_reconstruct(self.WERNER, SETTINGS)
+        rec = mle_reconstruct(self.WERNER, SETTINGS, rho_start=MIXED)
         assert (rec.iterations, rec.stop, rec.converged) == (2, "floor", False)
         assert rec.gap == pytest.approx(0.30, abs=0.01)
         weights = np.array([self.WERNER, self.WERNER]) / self.WERNER.sum()
-        _, gaps, iterations, stops = tomography._accelerated_ascent_batch(
-            SETTINGS.projectors_real, weights, 1e-10, 10000)
+        _, gaps, iterations, stops = batch_fit(weights, np.array([MIXED, MIXED]))
         assert stops.tolist() == ["floor", "floor"] and iterations.tolist() == [2, 2]
         assert np.all(gaps > 0.29)
 
@@ -257,7 +269,7 @@ class TestMleCurve:
         rhos, _, iterations, stops = stacks[0]
         assert set(stops) == {"gap"}
         for freqs, rho in zip(frequencies, rhos):
-            assert helpers.likelihood_gap(freqs, rho) <= 1e-10
+            assert helpers.likelihood_gap(freqs, rho) <= CERTIFIED
         if case == "compare_default":
             # full-rank rows take the scalar path's decisions, so roundoff
             # can flip at most a few of them
@@ -374,6 +386,38 @@ class TestProjectedSteps:
         assert np.max(np.abs(steps[0] - full)) <= 1e-9 * np.max(np.abs(moves[0]))
 
 
+class TestStartStates:
+    """Every fit starts at its projected linear-inversion estimate, mixed with 0.1 % of I/4."""
+
+    def test_exact_probabilities_invert_to_their_state(self, rng):
+        # every quadruple of exact probabilities sums to 1: the inversion returns
+        # the state, which the projection keeps, at every rank
+        rhos = [helpers.random_density_matrix(rng, rank=rank) for rank in (1, 2, 3, 4)]
+        weights = np.array([SETTINGS.born_probabilities(rho) for rho in rhos]) / 9.0
+        starts = tomography._start_states(SETTINGS, weights)
+        for rho, start in zip(rhos, starts):
+            mixed = (1.0 - tomography._START_MIX) * rho + tomography._START_MIX * MIXED
+            assert np.max(np.abs(start - mixed)) <= 1e-12
+
+    def test_dephased_grid_certifies_in_fewer_iterations(self):
+        # a seeded subset of the 900 low-gain dephased fits the boundary guard is for
+        concs = np.linspace(0.8, 0.999, 25)
+        gains = np.geomspace(1e-6, 1e-2, 9)
+        cases = [(conc, eta, n_bar) for conc in concs for eta in (1.0, 0.8, 0.5, 0.16)
+                 for n_bar in gains]
+        picked = np.random.default_rng(900).choice(len(cases), 16, replace=False)
+        stack = np.array([synthesize_frequencies(dephased_phi_plus(conc),
+                                                 SourceParams(n_bar, eta, eta), SETTINGS)
+                          for conc, eta, n_bar in (cases[k] for k in picked)])
+        weights = stack / stack.sum(axis=1, keepdims=True)
+        rhos, gaps, iterations, stops = batch_fit(weights)
+        assert set(stops) == {"gap"} and np.all(gaps <= 1e-10)
+        for freqs, rho in zip(stack, rhos):
+            assert helpers.likelihood_gap(freqs, rho) <= CERTIFIED
+        _, _, from_mixed, _ = batch_fit(weights, np.repeat(MIXED[None], len(weights), axis=0))
+        assert iterations.mean() < from_mixed.mean()
+
+
 class TestBatchedAscent:
     """Every row of one stack certifies and matches the same counts fitted alone."""
 
@@ -391,16 +435,14 @@ class TestBatchedAscent:
         stack = np.array(rows)
         assert stack[-1][SETTINGS.pairs.index(("V", "V"))] == 0.0
         weights = stack / stack.sum(axis=1, keepdims=True)
-        rhos, gaps, _, stops = tomography._accelerated_ascent_batch(
-            SETTINGS.projectors_real, weights, 1e-10, 10000)
+        rhos, gaps, _, stops = batch_fit(weights)
         assert set(stops) == {"gap"}
         for freqs, w, rho, gap in zip(stack, weights, rhos, gaps):
             assert gap <= 1e-10
-            assert helpers.likelihood_gap(freqs, rho) <= 1e-10
+            assert helpers.likelihood_gap(freqs, rho) <= CERTIFIED
             assert np.array_equal(rho, rho.conj().T)
             assert np.trace(rho).real == pytest.approx(1.0, abs=1e-15)
-            alone, _, _, _ = tomography._accelerated_ascent_batch(SETTINGS.projectors_real,
-                                                                 w[None], 1e-10, 10000)
+            alone, _, _, _ = batch_fit(w[None])
             assert np.max(np.abs(rho - alone[0])) <= 1e-8
             assert np.max(np.abs(rho - mle_reconstruct(freqs, SETTINGS).rho)) <= 1e-8
 
@@ -408,15 +450,15 @@ class TestBatchedAscent:
         # a pure state with an amplitude of 2.8e-141 gives four settings weights of
         # about 2e-281, far below the roundoff of a Born product: the guard alone
         # let an accepted iterate reach a zero probability there, and the gap's
-        # eigvalsh raised on the infinite gradient within 56 iterations
+        # eigvalsh raised on the infinite gradient within 56 iterations from I/4
         ket = np.array([-0.217, 0.366, 0.0, -2.84e-141])
         freqs = SETTINGS.born_probabilities(np.outer(ket, ket) / (ket @ ket))
         assert freqs.min() == 0.0 and 0.0 < freqs[freqs > 0].min() < 1e-280
-        _, gaps, iterations, stops = tomography._accelerated_ascent_batch(
-            SETTINGS.projectors_real, (freqs / freqs.sum())[None], 1e-10, 100)
+        _, gaps, iterations, stops = batch_fit((freqs / freqs.sum())[None], MIXED[None],
+                                               max_iterations=100)
         assert stops.tolist() == ["cap"] and iterations.tolist() == [100]
-        assert gaps[0] == pytest.approx(mle_reconstruct(freqs, SETTINGS, max_iterations=100).gap,
-                                        rel=1e-6)
+        scalar = mle_reconstruct(freqs, SETTINGS, max_iterations=100, rho_start=MIXED)
+        assert gaps[0] == pytest.approx(scalar.gap, rel=1e-6)
 
     @pytest.mark.parametrize("case", ["compare_default", "mixed"])
     def test_rows_do_not_wait_for_each_other(self, case, rng, monkeypatch):
@@ -433,6 +475,8 @@ class TestBatchedAscent:
         stack = np.array([synthesize_frequencies(rho0, SourceParams(n, eta_a, eta_b), SETTINGS)
                           for n in grid])
         weights = stack / stack.sum(axis=1, keepdims=True)
+        # every path starts each row from the same state
+        starts = tomography._start_states(SETTINGS, weights)
         passes = []
         real = tomography._projected_steps
 
@@ -442,16 +486,16 @@ class TestBatchedAscent:
 
         monkeypatch.setattr(tomography, "_projected_steps", counted)
 
-        def fit(w):
+        def fit(w, start):
             passes.append(0)
-            return tomography._accelerated_ascent_batch(SETTINGS.projectors_real, w, 1e-10,
-                                                        10000)
+            return batch_fit(w, start)
 
-        rhos, _, iterations, stops = fit(weights)
+        rhos, _, iterations, stops = fit(weights, starts)
         assert set(stops) == {"gap"}
-        alone = [fit(w[None]) for w in weights]
+        alone = [fit(w[None], start[None]) for w, start in zip(weights, starts)]
         assert passes[0] == max(passes[1:])
-        scalar = [mle_reconstruct(freqs, SETTINGS) for freqs in stack]
+        scalar = [mle_reconstruct(freqs, SETTINGS, rho_start=start)
+                  for freqs, start in zip(stack, starts)]
         assert (iterations.tolist() == [int(its[0]) for _, _, its, _ in alone]
                 == [rec.iterations for rec in scalar])
         for rho, (rho_alone, _, _, _), rec in zip(rhos, alone, scalar):
@@ -485,15 +529,14 @@ class TestBoundaryGuard:
         for freqs in self.frequencies():
             rec = mle_reconstruct(freqs, SETTINGS)
             assert rec.stop == "gap" and rec.converged
-            assert helpers.likelihood_gap(freqs, rec.rho) <= 1e-10
+            assert helpers.likelihood_gap(freqs, rec.rho) <= CERTIFIED
 
     def test_batched_fits_certify(self):
         stack = self.frequencies()
-        rhos, _, _, stops = tomography._accelerated_ascent_batch(
-            SETTINGS.projectors_real, stack / stack.sum(axis=1, keepdims=True), 1e-10, 10000)
+        rhos, _, _, stops = batch_fit(stack / stack.sum(axis=1, keepdims=True))
         assert set(stops) == {"gap"}
         for freqs, rho in zip(stack, rhos):
-            assert helpers.likelihood_gap(freqs, rho) <= 1e-10
+            assert helpers.likelihood_gap(freqs, rho) <= CERTIFIED
 
 
 class TestFitKappa:
