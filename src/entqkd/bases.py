@@ -146,8 +146,9 @@ def verify_bases(rho: np.ndarray, bs: BasisSet) -> tuple[float, float]:
 def _reduce_angle(angle: float, period: float) -> float:
     # canonical representative in (-period/2, period/2]
     reduced = angle % period
-    if reduced > period / 2.0 + 1e-15:
-        reduced -= period
+    half = period / 2.0
+    if reduced > half:  # within roundoff above half it is half itself
+        reduced = half if reduced <= half + 1e-15 else reduced - period
     return reduced
 
 

@@ -121,6 +121,16 @@ class TestWaveplateAngles:
             assert -math.pi / 2 < setting.theta_q <= math.pi / 2
             assert -math.pi / 4 < setting.theta_h <= math.pi / 4
 
+    def test_roundoff_above_the_range_end_is_the_end(self):
+        # near V the half-wave dial came out one ulp above pi/4, which the
+        # setting's own range check refused
+        x = np.array([1e-6, 1e-6, -1.0])
+        x /= np.linalg.norm(x)
+        setting = waveplate_angles(x)
+        assert setting.theta_h == math.pi / 4
+        realized = helpers.analyzer_projector(setting.theta_q, setting.theta_h)
+        assert np.max(np.abs(realized - helpers.bloch_projector_direct(x))) < 1e-9
+
     def test_periodicity_equivalence(self):
         # dial settings shifted by the plate periods realize the same projector
         setting = waveplate_angles(np.array([0.6, -0.48, 0.64]) / 1.0)

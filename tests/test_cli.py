@@ -22,6 +22,19 @@ def write_dataset(path, counts, tau_s=1e-9, duration_s=1.0):
     return path
 
 
+def unequal_marginals_rho0_file(path):
+    """A state whose model frequencies at eta_A = 0.8, eta_B = 0.3 no state reproduces.
+
+    Its linear-inversion estimate does not fit them, so a fit of them
+    starts a gap of about 1e-5 away from its optimum at n_bar = 1e-3.
+    """
+    ket = np.array([math.cos(0.5), 0.0, 0.0, math.sin(0.5)], dtype=complex)
+    biased = np.kron(np.diag([1.0, 0.0]), np.eye(2) / 2.0)
+    rho0 = 0.8 * np.outer(ket, ket.conj()) + 0.1 * biased + 0.1 * np.eye(4) / 4.0
+    path.write_text(canonical_json(density_matrix_to_json(rho0)))
+    return path
+
+
 def bell_dataset(path, n_windows=1e8, n_bar=1e-4):
     freqs = synthesize_frequencies(bell_state("phi+"),
                                    SourceParams(n_bar, 1.0, 1.0), SETTINGS)
@@ -95,9 +108,16 @@ class TestReconstruct:
         assert "did not converge: stop 'cap'" in capsys.readouterr().err
 
     def test_uncertified_floor_stop_exits_3(self, tmp_path, monkeypatch, capsys):
-        # no backtracking attempt is allowed, so the floor stop fires far from the optimum
+        # no backtracking attempt is allowed, so the floor stop fires far from the
+        # optimum: from I/4, since the exact Bell counts certify at their own start
         import entqkd.cli as cli
         monkeypatch.setattr(cli.tomography, "_MAX_HALVINGS", 0)
+        real = cli.tomography.mle_reconstruct
+
+        def from_mixed(frequencies, settings, **kwargs):
+            return real(frequencies, settings, rho_start=np.eye(4) / 4.0, **kwargs)
+
+        monkeypatch.setattr(cli.tomography, "mle_reconstruct", from_mixed)
         ds_path = bell_dataset(tmp_path / "bell.json")
         out = tmp_path / "report.json"
         assert main(["reconstruct", str(ds_path), "--out", str(out)]) == 3
@@ -171,11 +191,9 @@ class TestModel:
     def test_rho0_pipeline_unconverged_exits_3(self, tmp_path, monkeypatch, capsys):
         import entqkd.cli as cli
         monkeypatch.setattr(cli.tomography, "_MAX_HALVINGS", 0)
-        rho_path = tmp_path / "w.json"
-        rho_path.write_text(canonical_json(density_matrix_to_json(
-            werner_mix(bell_state("phi+"), 0.02))))
+        rho_path = unequal_marginals_rho0_file(tmp_path / "rho0.json")
         out = tmp_path / "curve.csv"
-        assert main(["model", "--eta", "0.5", "--nbar-grid", "0.001:0.1:4",
+        assert main(["model", "--eta-a", "0.8", "--eta-b", "0.3", "--nbar-grid", "0.001:0.1:4",
                      "--rho0-file", str(rho_path), "--out", str(out)]) == 3
         assert "error: the fit at n_bar = 0.001 did not converge" in capsys.readouterr().err
         assert not out.exists()
@@ -290,8 +308,10 @@ class TestCompare:
     def test_unconverged_curve_exits_3_without_output(self, tmp_path, monkeypatch, capsys):
         import entqkd.cli as cli
         monkeypatch.setattr(cli.tomography, "_MAX_HALVINGS", 0)
+        rho_path = unequal_marginals_rho0_file(tmp_path / "rho0.json")
         out_dir = tmp_path / "cmp"
-        assert main(["compare", "--nbar-grid", "0.001:0.2:8", "--out-dir", str(out_dir)]) == 3
+        assert main(["compare", "--eta-a", "0.8", "--eta-b", "0.3", "--nbar-grid", "0.001:0.2:8",
+                     "--rho0-file", str(rho_path), "--out-dir", str(out_dir)]) == 3
         assert "error: the fit at n_bar = 0.001 did not converge" in capsys.readouterr().err
         assert not out_dir.exists()
 

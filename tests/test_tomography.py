@@ -12,6 +12,7 @@ from entqkd import (SourceParams, TomographyDataset, TomographySettings,
                     monte_carlo_uncertainty, synthesize_frequencies, tomography,
                     werner_mix)
 from entqkd.metrics import TSIRELSON
+from entqkd.states import POLARIZATION_KETS
 
 SETTINGS = TomographySettings.canonical()
 PHI_PLUS = bell_state("phi+")
@@ -147,8 +148,10 @@ class TestMleReconstruct:
             mle_reconstruct(np.ones(35), SETTINGS)
 
     def test_iteration_cap_flags_non_convergence(self, rng):
+        # from I/4: exact Born probabilities certify at their own start
         rho = helpers.random_density_matrix(rng)
-        rec = mle_reconstruct(SETTINGS.born_probabilities(rho), SETTINGS, max_iterations=2)
+        rec = mle_reconstruct(SETTINGS.born_probabilities(rho), SETTINGS, max_iterations=2,
+                              rho_start=MIXED)
         assert not rec.converged
         assert rec.iterations == 2
         assert rec.stop == "cap"
@@ -299,15 +302,20 @@ class TestMleCurve:
         with pytest.raises(ValueError, match=message):
             mle_curve(PHI_PLUS, 0.5, 0.5, grid)
 
-    def test_unconverged_point_raises(self, monkeypatch):
+    def test_unconverged_point_raises(self, rng, monkeypatch):
+        # no state reproduces these model frequencies, so every fit starts away
+        # from its optimum, and without backtracking it stops on the floor there
         monkeypatch.setattr(tomography, "_MAX_HALVINGS", 0)
         with pytest.raises(tomography.ConvergenceError,
                            match=r"^the fit at n_bar = 0\.001 did not converge: stop 'floor' at "
                                  r"gap \d\.\d{3}e-\d\d, 4 unconverged point\(s\)") as info:
-            mle_curve(werner_mix(PHI_PLUS, 0.1), 0.7, 0.4, [1e-3, 1e-2, 0.05, 0.1])
+            mle_curve(mixed_entangled_state(rng), 0.8, 0.3, [1e-3, 1e-2, 0.05, 0.1])
         assert isinstance(info.value, RuntimeError)
         assert info.value.n_bar == 1e-3 and info.value.stop == "floor"
         assert info.value.gap > 1e-8
+
+    def test_empty_grid_gives_empty_curve(self):
+        assert mle_curve(PHI_PLUS, 0.5, 0.5, []) == []
 
     def test_rejects_underflowing_frequencies(self):
         # every coincidence probability of the smallest positive gain underflows to 0
@@ -386,18 +394,75 @@ class TestProjectedSteps:
         assert np.max(np.abs(steps[0] - full)) <= 1e-9 * np.max(np.abs(moves[0]))
 
 
+def sparse_density_matrix(rng, rank):
+    """g g^dagger / Tr for a complex 4 x rank g whose entries are zeroed with probability 0.4."""
+    while True:
+        g = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+        g[rng.random(g.shape) < 0.4] = 0.0
+        if np.any(g):
+            rho = g @ g.conj().T
+            return rho / np.trace(rho).real
+
+
 class TestStartStates:
-    """Every fit starts at its projected linear-inversion estimate, mixed with 0.1 % of I/4."""
+    """Every fit starts at its projected linear-inversion estimate.
+
+    The estimate is the start when it keeps every setting with counts at
+    a probability of at least ``_BOUNDARY_KEEP`` times its frequency
+    within its quadruple; otherwise 0.1 % of I/4 is mixed in.
+    """
 
     def test_exact_probabilities_invert_to_their_state(self, rng):
         # every quadruple of exact probabilities sums to 1: the inversion returns
-        # the state, which the projection keeps, at every rank
+        # the state, which the projection keeps, at every rank, and no I/4 is mixed in
         rhos = [helpers.random_density_matrix(rng, rank=rank) for rank in (1, 2, 3, 4)]
         weights = np.array([SETTINGS.born_probabilities(rho) for rho in rhos]) / 9.0
         starts = tomography._start_states(SETTINGS, weights)
         for rho, start in zip(rhos, starts):
-            mixed = (1.0 - tomography._START_MIX) * rho + tomography._START_MIX * MIXED
-            assert np.max(np.abs(start - mixed)) <= 1e-12
+            assert np.max(np.abs(start - rho)) <= 1e-12
+
+    def test_exact_rank_deficient_data_certifies_at_the_start(self):
+        # sparse states of rank 1 to 4, whose optimum can leave settings at exactly
+        # zero: from a start mixed with I/4 a third of these fits met the
+        # floating-point floor before the certificate
+        rng = np.random.default_rng(1400)
+        stack = np.array([np.maximum(SETTINGS.born_probabilities(
+            sparse_density_matrix(rng, 1 + k % 4)), 0.0) for k in range(300)])
+        rhos, gaps, iterations, stops = batch_fit(stack / stack.sum(axis=1, keepdims=True))
+        assert set(stops) == {"gap"} and not iterations.any() and np.all(gaps <= 1e-10)
+        for freqs, rho in zip(stack, rhos):
+            rec = mle_reconstruct(freqs, SETTINGS)
+            assert (rec.stop, rec.iterations) == ("gap", 0)
+            for fit in (rho, rec.rho):
+                assert helpers.likelihood_gap(freqs, fit) <= CERTIFIED
+
+    def test_estimate_that_loses_a_setting_is_mixed(self, monkeypatch):
+        # Poisson counts of a near-pure Bell state: the projected estimate keeps a
+        # setting with counts at about 1e-3 of its frequency within its quadruple
+        counts = np.random.default_rng(9).poisson(
+            1e5 * SETTINGS.born_probabilities(werner_mix(PHI_PLUS, 0.001))).astype(float)
+        start = tomography._start_states(SETTINGS, counts[None])[0]
+        monkeypatch.setattr(tomography, "_START_MIX", 0.0)
+        estimate = tomography._start_states(SETTINGS, counts[None])[0]
+        group = SETTINGS.group_index
+        f = counts / (counts @ (group[:, None] == group))
+        observed = counts > 0
+        assert np.min(SETTINGS.born_probabilities(estimate)[observed] / f[observed]) < 0.01
+        assert np.max(np.abs(start - (0.999 * estimate + 0.001 * MIXED))) <= 1e-15
+
+    def test_roundoff_level_weights_get_a_mixed_start(self):
+        # some settings of (|HH> - |LL>)/sqrt(2) get Born weights of about 1e-17, the
+        # roundoff of an exact 0; the estimate's probabilities there are roundoff
+        # too, and without the mix they went nonpositive in the solver, which raised
+        h, l = POLARIZATION_KETS["H"], POLARIZATION_KETS["L"]
+        ket = np.kron(h, h) - np.kron(l, l)
+        ket /= np.linalg.norm(ket)
+        freqs = np.maximum(SETTINGS.born_probabilities(np.outer(ket, ket.conj())), 0.0)
+        assert 0.0 < freqs[freqs > 0.0].min() < 1e-15
+        start = tomography._start_states(SETTINGS, freqs[None])[0]
+        assert np.linalg.eigvalsh(start)[0] >= tomography._START_MIX / 4.0 * (1.0 - 1e-9)
+        rec = mle_reconstruct(freqs, SETTINGS)
+        assert rec.stop == "gap" and helpers.likelihood_gap(freqs, rec.rho) <= CERTIFIED
 
     def test_dephased_grid_certifies_in_fewer_iterations(self):
         # a seeded subset of the 900 low-gain dephased fits the boundary guard is for
