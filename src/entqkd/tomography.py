@@ -19,13 +19,12 @@ lower the likelihood, so accepted iterates are monotone.  It stops on
 the certified gap lambda_max(R) - 1, which bounds the log-likelihood
 per count that any state could still add.  Every fit starts from its
 own data: the linear-inversion estimate of the quadruple-normalized
-frequencies, projected onto the density matrices.  When that estimate
-gives a setting with counts less than a tenth of its frequency, or a
-probability within roundoff of 0, a little of I/4 is mixed in, so
-every setting starts with a positive probability (Smolin, Gambetta &
-Smith, PRL 108, 070502, 2012).  Exact frequencies of a state start at
-the state itself, which is their maximizer, so such a fit certifies
-before its first step.
+frequencies, projected onto the density matrices.  An estimate that
+is certified already is the start: exact frequencies of a state invert
+to the state itself, their maximizer, so such a fit stops before its
+first step.  Every other estimate, which is every one of noisy counts,
+is mixed with a little of I/4, so every setting starts with a positive
+probability (Smolin, Gambetta & Smith, PRL 108, 070502, 2012).
 
 Monte-Carlo uncertainty resamples every observed count as Poisson with
 the observed value as mean.  Per-sample generators are spawned from a
@@ -61,7 +60,7 @@ _TOL = 1e-10
 #: a floor stop counts as converged only if its gap is at most this
 _FLOOR_GAP = 1e-8
 _MAX_ITERATIONS = 10000
-#: weight of I/4 mixed into a start that loses an observed setting, which keeps every
+#: weight of I/4 mixed into a start that is not certified already, which keeps every
 #: setting's probability >= _START_MIX / 4
 _START_MIX = 1e-3
 #: a start keeps its estimate only if every observed probability is above this, far above
@@ -420,16 +419,16 @@ def _start_states(settings: TomographySettings, w: np.ndarray) -> np.ndarray:
     one gets 1/4 per setting) and inverted linearly by
     ``settings.linear_inversion``, and the estimate's eigenvalues are
     projected onto the probability simplex.  A row starts at that
-    estimate if it keeps every setting of positive weight at a
-    probability above ``_BORN_ROUNDOFF`` and at least ``_BOUNDARY_KEEP``
-    times its normalized frequency, the fraction the boundary guard
-    keeps on every step; that bounds every ratio c_k / p_k of the
-    gradient at the start.  Exact frequencies of a state pass, unless a
-    weight is roundoff of an exact 0, so their fit starts at its
-    maximizer.  Any other row gets ``_START_MIX`` of I/4 mixed in, so
-    every setting starts at a probability of at least ``_START_MIX / 4``
-    and any weight, even one the projection gave probability 0, can be
-    fitted.  The rows are independent.
+    estimate if it is certified already: it gives every setting of
+    positive weight a probability above ``_BORN_ROUNDOFF``, and its gap
+    is at most ``_TOL``, which bounds every ratio c_k / p_k of the
+    gradient by 1 + ``_TOL``.  Exact frequencies of a state pass, unless
+    a weight is roundoff of an exact 0, so their fit stops before its
+    first step.  Every other row, which is every row of noisy counts,
+    gets ``_START_MIX`` of I/4 mixed in, so every setting starts at a
+    probability of at least ``_START_MIX / 4`` and any weight, even one
+    the projection gave probability 0, can be fitted.  The rows are
+    independent.
     """
     group = settings.group_index
     sums = w @ (group[:, None] == group)  # each setting's quadruple sum
@@ -440,11 +439,20 @@ def _start_states(settings: TomographySettings, w: np.ndarray) -> np.ndarray:
     cut = _RANKS <= 4 - kept[:, None]  # the lowest 4 - kept values, ascending order
     threshold = (np.where(cut, 0.0, vals).sum(axis=1) - 1.0) / kept
     vals = np.where(cut, 0.0, vals - threshold[:, None])
-    projected = _outer_products(vecs, vals)
-    p = projected.reshape(-1, 16).view(np.float64) @ settings.projectors_real.T
-    keeps = (w <= 0.0) | ((p > _BORN_ROUNDOFF) & (p >= _BOUNDARY_KEEP * f))
-    mix = np.where(keeps.all(axis=1), 0.0, _START_MIX)[:, None]
-    return _outer_products(vecs, (1.0 - mix) * vals + mix / 4.0)
+    starts = _outer_products(vecs, vals)
+    p = starts.reshape(-1, 16).view(np.float64) @ settings.projectors_real.T
+    # the rows whose estimate is certified already: every observed probability
+    # above roundoff, and the gap of the normalized weights, lambda_max(R) - 1,
+    # at most _TOL, taken on the weights as given
+    keeps = ((w <= 0.0) | (p > _BORN_ROUNDOFF)).all(axis=1)
+    c = w[keeps]
+    ratios = np.divide(c, p[keeps], out=np.zeros(c.shape), where=c > 0.0)
+    r_op = (ratios @ settings.projectors_real).view(complex).reshape(-1, 4, 4)
+    keeps[keeps] = np.linalg.eigvalsh(r_op)[:, -1] <= (1.0 + _TOL) * c.sum(axis=1)
+    mixed = ~keeps
+    starts[mixed] = _outer_products(vecs[mixed],
+                                    (1.0 - _START_MIX) * vals[mixed] + _START_MIX / 4.0)
+    return starts
 
 
 def _outer_products(vecs: np.ndarray, vals: np.ndarray) -> np.ndarray:
@@ -527,13 +535,13 @@ def _accelerated_ascent_batch(projectors_real, c, rho, tol, max_iterations):
                     stop_out[out] = np.where(gap[done] <= tol, "gap",
                                              np.where(failed[done] == 2, "floor", "cap"))
                     live = ~done
+                    if not live.any():
+                        break
                     (rows, w, unobserved, rho, p, r_rho, gap, sigma, p_sigma, r_sigma, ahead,
                      p_ahead, ahead_on, theta, step, failed, halvings, iterations) = (
                         a[live] for a in (rows, w, unobserved, rho, p, r_rho, gap, sigma,
                                           p_sigma, r_sigma, ahead, p_ahead, ahead_on, theta,
                                           step, failed, halvings, iterations))
-                if not rows.size:  # also an empty stack
-                    break
             to_cand = _projected_steps(sigma, step[:, None, None] * r_sigma)
             dp = born(to_cand)
             x = dp / p_sigma
@@ -624,8 +632,7 @@ def mle_reconstruct(frequencies, settings: TomographySettings,
         Starting state.  It must give every setting with a nonzero
         frequency a positive probability.  The default is the projected
         linear-inversion estimate of the frequencies, mixed with 0.1 % of
-        I/4 only when it gives a setting with counts less than a tenth of
-        its frequency within its quadruple; it is the start ``mle_curve``
+        I/4 unless it is certified already; it is the start ``mle_curve``
         gives each of its points.  Exact frequencies of a state start at
         their maximizer and certify at 0 iterations.
     on_iteration : callable, optional
@@ -744,11 +751,10 @@ def mle_curve(rho0: np.ndarray, eta_a: float, eta_b: float, n_bar_grid) -> list[
     points come from one array evaluation of the source model, and all
     points are fitted as one stack, each from its own projected
     linear-inversion estimate to the default certified gap, so each
-    point is independent of the rest of the grid.  The synthesized
-    frequencies of a state that reproduces them start at their
-    maximizer and certify at once; the others start from the estimate
-    or, if it loses a setting, from the estimate mixed with a little
-    of I/4.
+    point is independent of the rest of the grid.  Synthesized
+    frequencies that a state reproduces start at their maximizer and
+    certify at once; the others start from the estimate mixed with a
+    little of I/4.
     A point whose fit does not converge raises ``ConvergenceError``, so
     no uncertified point is returned.
     """

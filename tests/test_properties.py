@@ -141,14 +141,16 @@ def test_fits_certify_and_recover_the_probabilities(rho, dephased):
     # its input.  A state whose optimum leaves settings at zero can meet the
     # floating-point floor first, near 1e-9 and on every solver path sometimes
     # above 1e-8, and one whose frequencies span 270 decades can fail
-    # outright; both are refused
+    # outright; both are refused.  Every fit starts from I/4, where the
+    # boundary guard acts: at their default start exact frequencies of a
+    # state certify before any step
     born = np.maximum(SETTINGS.born_probabilities(rho), 0.0)  # roundoff can dip below 0
     stack = np.array([born, dephased])
     weights = stack / stack.sum(axis=1, keepdims=True)
+    mixed = np.eye(4, dtype=complex) / 4.0
     rhos, gaps, _, stops = tomography._accelerated_ascent_batch(
-        SETTINGS.projectors_real, weights, tomography._start_states(SETTINGS, weights), 1e-10,
-        10000)
-    singles = [mle_reconstruct(freqs, SETTINGS) for freqs in stack]
+        SETTINGS.projectors_real, weights, np.array([mixed, mixed]), 1e-10, 10000)
+    singles = [mle_reconstruct(freqs, SETTINGS, rho_start=mixed) for freqs in stack]
     assert stops[1] == "gap" and singles[1].stop == "gap"
     for freqs, w, single, batched, gap, stop in zip(stack, weights, singles, rhos, gaps, stops):
         for fit, fit_gap, fit_stop in ((single.rho, single.gap, single.stop),
@@ -163,21 +165,21 @@ def test_fits_certify_and_recover_the_probabilities(rho, dephased):
 @PROPERTY
 @given(w=weight_stacks())
 def test_start_states_are_interior_density_matrices(w):
-    # a start is the estimate when that keeps every setting with weight at a tenth
-    # of its frequency within its quadruple, and otherwise mixes in I/4
-    group = SETTINGS.group_index
-    sums = w @ (group[:, None] == group)
-    f = np.divide(w, sums, out=np.zeros(w.shape), where=sums > 0.0)
-    floor = np.minimum(tomography._BOUNDARY_KEEP * f, tomography._START_MIX / 4.0)
-    for start, row_w, row_floor in zip(tomography._start_states(SETTINGS, w), w, floor):
+    # a start is the estimate when that is certified already, and otherwise
+    # mixes in I/4; a certified start has lambda_max(R) <= 1 + 1e-10, so every
+    # setting with weight keeps a probability of at least its normalized weight
+    # over 1 + 1e-10
+    for start, row_w in zip(tomography._start_states(SETTINGS, w), w):
         assert np.array_equal(start, start.conj().T)
         assert np.trace(start).real == pytest.approx(1.0, abs=1e-12)
         assert np.linalg.eigvalsh(start)[0] >= -1e-14
+        mixed = np.linalg.eigvalsh(start)[0] >= tomography._START_MIX / 4.0 * (1.0 - 1e-9)
+        assert mixed or helpers.likelihood_gap(row_w, start) <= 1e-10 + helpers.GAP_ROUNDOFF
         # a kept estimate's probabilities are above 1e-13, so 1 % allows for the
         # roundoff of two Born products of one state
         observed = row_w > 0.0
-        p = SETTINGS.born_probabilities(start)
-        assert np.all(p[observed] >= 0.99 * row_floor[observed])
+        floor = np.minimum(row_w[observed] / row_w.sum(), tomography._START_MIX / 4.0)
+        assert np.all(SETTINGS.born_probabilities(start)[observed] >= 0.99 * floor)
 
 
 @PROPERTY

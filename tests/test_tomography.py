@@ -314,9 +314,6 @@ class TestMleCurve:
         assert info.value.n_bar == 1e-3 and info.value.stop == "floor"
         assert info.value.gap > 1e-8
 
-    def test_empty_grid_gives_empty_curve(self):
-        assert mle_curve(PHI_PLUS, 0.5, 0.5, []) == []
-
     def test_rejects_underflowing_frequencies(self):
         # every coincidence probability of the smallest positive gain underflows to 0
         with pytest.raises(ValueError, match="frequencies must not be all zero"):
@@ -407,9 +404,9 @@ def sparse_density_matrix(rng, rank):
 class TestStartStates:
     """Every fit starts at its projected linear-inversion estimate.
 
-    The estimate is the start when it keeps every setting with counts at
-    a probability of at least ``_BOUNDARY_KEEP`` times its frequency
-    within its quadruple; otherwise 0.1 % of I/4 is mixed in.
+    The estimate is the start when it is certified already, with every
+    setting with counts at a probability above roundoff; otherwise 0.1 %
+    of I/4 is mixed in.
     """
 
     def test_exact_probabilities_invert_to_their_state(self, rng):
@@ -423,8 +420,8 @@ class TestStartStates:
 
     def test_exact_rank_deficient_data_certifies_at_the_start(self):
         # sparse states of rank 1 to 4, whose optimum can leave settings at exactly
-        # zero: from a start mixed with I/4 a third of these fits met the
-        # floating-point floor before the certificate
+        # zero: from a start mixed with I/4, 102 of these 300 batched fits and 97
+        # scalar ones met the floating-point floor before the certificate
         rng = np.random.default_rng(1400)
         stack = np.array([np.maximum(SETTINGS.born_probabilities(
             sparse_density_matrix(rng, 1 + k % 4)), 0.0) for k in range(300)])
@@ -450,6 +447,20 @@ class TestStartStates:
         assert np.min(SETTINGS.born_probabilities(estimate)[observed] / f[observed]) < 0.01
         assert np.max(np.abs(start - (0.999 * estimate + 0.001 * MIXED))) <= 1e-15
 
+    def test_uncertified_estimate_is_mixed(self, monkeypatch):
+        # no state reproduces these model frequencies: the estimate keeps every
+        # setting near its frequency, but it is a gap of 3.6e-6 from the optimum
+        freqs = synthesize_frequencies(mixed_entangled_state(np.random.default_rng(3)),
+                                       SourceParams(1e-3, 0.8, 0.3), SETTINGS)
+        start = tomography._start_states(SETTINGS, freqs[None])[0]
+        monkeypatch.setattr(tomography, "_START_MIX", 0.0)
+        estimate = tomography._start_states(SETTINGS, freqs[None])[0]
+        group = SETTINGS.group_index
+        f = freqs / (freqs @ (group[:, None] == group))
+        assert np.min(SETTINGS.born_probabilities(estimate) / f) > 0.99
+        assert helpers.likelihood_gap(freqs, estimate) > 1e-6
+        assert np.max(np.abs(start - (0.999 * estimate + 0.001 * MIXED))) <= 1e-15
+
     def test_roundoff_level_weights_get_a_mixed_start(self):
         # some settings of (|HH> - |LL>)/sqrt(2) get Born weights of about 1e-17, the
         # roundoff of an exact 0; the estimate's probabilities there are roundoff
@@ -465,7 +476,9 @@ class TestStartStates:
         assert rec.stop == "gap" and helpers.likelihood_gap(freqs, rec.rho) <= CERTIFIED
 
     def test_dephased_grid_certifies_in_fewer_iterations(self):
-        # a seeded subset of the 900 low-gain dephased fits the boundary guard is for
+        # a seeded subset of the 900 low-gain dephased fits the boundary guard is
+        # for: from their default start they certify at once, and from I/4, where
+        # the guard acts, they certify too
         concs = np.linspace(0.8, 0.999, 25)
         gains = np.geomspace(1e-6, 1e-2, 9)
         cases = [(conc, eta, n_bar) for conc in concs for eta in (1.0, 0.8, 0.5, 0.16)
@@ -476,17 +489,22 @@ class TestStartStates:
                           for conc, eta, n_bar in (cases[k] for k in picked)])
         weights = stack / stack.sum(axis=1, keepdims=True)
         rhos, gaps, iterations, stops = batch_fit(weights)
-        assert set(stops) == {"gap"} and np.all(gaps <= 1e-10)
+        assert set(stops) == {"gap"} and np.all(gaps <= 1e-10) and not iterations.any()
         for freqs, rho in zip(stack, rhos):
             assert helpers.likelihood_gap(freqs, rho) <= CERTIFIED
-        _, _, from_mixed, _ = batch_fit(weights, np.repeat(MIXED[None], len(weights), axis=0))
-        assert iterations.mean() < from_mixed.mean()
+        rhos, gaps, iterations, stops = batch_fit(weights,
+                                                  np.repeat(MIXED[None], len(weights), axis=0))
+        assert set(stops) == {"gap"} and np.all(gaps <= 1e-10) and iterations.all()
+        for freqs, rho in zip(stack, rhos):
+            assert helpers.likelihood_gap(freqs, rho) <= CERTIFIED
 
 
 class TestBatchedAscent:
     """Every row of one stack certifies and matches the same counts fitted alone."""
 
     def test_rows_certify_and_match_single_fits(self, rng):
+        # every fit starts from I/4: at their default start these exact
+        # frequencies certify before any step
         rows = [SETTINGS.born_probabilities(helpers.random_density_matrix(rng, rank=rank))
                 for rank in (1, 2, 3, 4, 1, 2, 3, 4)]
         # near-pure dephased states at low gain, the family the boundary guard is for
@@ -500,16 +518,18 @@ class TestBatchedAscent:
         stack = np.array(rows)
         assert stack[-1][SETTINGS.pairs.index(("V", "V"))] == 0.0
         weights = stack / stack.sum(axis=1, keepdims=True)
-        rhos, gaps, _, stops = batch_fit(weights)
-        assert set(stops) == {"gap"}
+        rhos, gaps, iterations, stops = batch_fit(weights,
+                                                  np.repeat(MIXED[None], len(stack), axis=0))
+        assert set(stops) == {"gap"} and iterations.all()
         for freqs, w, rho, gap in zip(stack, weights, rhos, gaps):
             assert gap <= 1e-10
             assert helpers.likelihood_gap(freqs, rho) <= CERTIFIED
             assert np.array_equal(rho, rho.conj().T)
             assert np.trace(rho).real == pytest.approx(1.0, abs=1e-15)
-            alone, _, _, _ = batch_fit(w[None])
+            alone, _, _, _ = batch_fit(w[None], MIXED[None])
             assert np.max(np.abs(rho - alone[0])) <= 1e-8
-            assert np.max(np.abs(rho - mle_reconstruct(freqs, SETTINGS).rho)) <= 1e-8
+            rec = mle_reconstruct(freqs, SETTINGS, rho_start=MIXED)
+            assert np.max(np.abs(rho - rec.rho)) <= 1e-8
 
     def test_roundoff_cannot_zero_an_accepted_probability(self):
         # a pure state with an amplitude of 2.8e-141 gives four settings weights of
@@ -540,8 +560,12 @@ class TestBatchedAscent:
         stack = np.array([synthesize_frequencies(rho0, SourceParams(n, eta_a, eta_b), SETTINGS)
                           for n in grid])
         weights = stack / stack.sum(axis=1, keepdims=True)
-        # every path starts each row from the same state
-        starts = tomography._start_states(SETTINGS, weights)
+        # every path starts each row from the same state: the default one, or I/4
+        # for the compare grid, whose default start certifies before any step
+        if case == "compare_default":
+            starts = np.repeat(MIXED[None], len(weights), axis=0)
+        else:
+            starts = tomography._start_states(SETTINGS, weights)
         passes = []
         real = tomography._projected_steps
 
@@ -556,7 +580,7 @@ class TestBatchedAscent:
             return batch_fit(w, start)
 
         rhos, _, iterations, stops = fit(weights, starts)
-        assert set(stops) == {"gap"}
+        assert set(stops) == {"gap"} and iterations.all()
         alone = [fit(w[None], start[None]) for w, start in zip(weights, starts)]
         assert passes[0] == max(passes[1:])
         scalar = [mle_reconstruct(freqs, SETTINGS, rho_start=start)
@@ -576,7 +600,8 @@ class TestBoundaryGuard:
     observed probability nearly vanishes and the floor stop fires at a
     gap far above the tolerance.  Each case is (index into
     linspace(0.8, 0.999, 25) for C, eta, index into geomspace(1e-6,
-    1e-2, 9) for n_bar).
+    1e-2, 9) for n_bar).  The fits start from I/4, as exact frequencies
+    of a state certify at their default start before any step.
     """
 
     CASES = [(0, 1.0, 3), (0, 0.16, 0), (4, 0.5, 0), (5, 0.8, 1), (8, 0.16, 1), (14, 1.0, 0),
@@ -592,14 +617,15 @@ class TestBoundaryGuard:
 
     def test_single_fits_certify(self):
         for freqs in self.frequencies():
-            rec = mle_reconstruct(freqs, SETTINGS)
-            assert rec.stop == "gap" and rec.converged
+            rec = mle_reconstruct(freqs, SETTINGS, rho_start=MIXED)
+            assert rec.stop == "gap" and rec.converged and rec.iterations > 0
             assert helpers.likelihood_gap(freqs, rec.rho) <= CERTIFIED
 
     def test_batched_fits_certify(self):
         stack = self.frequencies()
-        rhos, _, _, stops = batch_fit(stack / stack.sum(axis=1, keepdims=True))
-        assert set(stops) == {"gap"}
+        rhos, _, iterations, stops = batch_fit(stack / stack.sum(axis=1, keepdims=True),
+                                               np.repeat(MIXED[None], len(stack), axis=0))
+        assert set(stops) == {"gap"} and iterations.all()
         for freqs, rho in zip(stack, rhos):
             assert helpers.likelihood_gap(freqs, rho) <= CERTIFIED
 
