@@ -273,7 +273,7 @@ def _projected_step(sigma: np.ndarray, move: np.ndarray) -> np.ndarray:
     return step
 
 
-def _accelerated_ascent(projectors_real, c, rho, tol, max_iterations, on_iteration=None):
+def _accelerated_ascent(projectors_real, c, rho, max_iterations, on_iteration=None):
     """Accelerated projected gradient ascent of sum_k c_k log p_k, c normalized.
 
     Each step moves from the extrapolated point sigma along the gradient
@@ -298,7 +298,7 @@ def _accelerated_ascent(projectors_real, c, rho, tol, max_iterations, on_iterati
     the optimum.
 
     Stops when the certified gap lambda_max(R(rho)) - 1 is at most
-    ``tol`` (Glancy, Knill & Girard, NJP 14, 095017, 2012), or when two
+    ``_TOL`` (Glancy, Knill & Girard, NJP 14, 095017, 2012), or when two
     restarts in a row cannot raise the likelihood, which is the
     floating-point floor, or at the iteration cap.  Returns (rho,
     log-likelihood per unit weight, gap, iterations, stop), stop being
@@ -331,7 +331,7 @@ def _accelerated_ascent(projectors_real, c, rho, tol, max_iterations, on_iterati
     iterations = 0
     # a step off the likelihood's domain yields nan, which every test below refuses
     with np.errstate(divide="ignore", invalid="ignore"):
-        while gap > tol and iterations < max_iterations:
+        while gap > _TOL and iterations < max_iterations:
             iterations += 1
             gain = -math.inf
             for _ in range(_MAX_HALVINGS):
@@ -371,7 +371,7 @@ def _accelerated_ascent(projectors_real, c, rho, tol, max_iterations, on_iterati
                     continue
                 theta, ahead = 1.0, None  # extrapolated off the domain
             sigma, p_sigma, r_sigma = rho, p, r_rho
-    stop = "gap" if gap <= tol else "floor" if failed_restarts == 2 else "cap"
+    stop = "gap" if gap <= _TOL else "floor" if failed_restarts == 2 else "cap"
     return rho, ll, gap, iterations, stop
 
 
@@ -393,8 +393,9 @@ def _projected_steps(sigma: np.ndarray, move: np.ndarray) -> np.ndarray:
     The cut is decided from every row's eigenvalues at once, and only
     the rows that cut a value are diagonalized.  Every other row's step
     is its move less the mean trace, which is all of them on most passes
-    of a gain curve.  (The scalar step diagonalizes at once: most steps
-    of a Monte-Carlo fit land on the boundary and cut.)
+    of a gain curve.  ``_start_states`` projects its estimates here too,
+    as steps from I/4.  (The scalar step diagonalizes at once: most
+    steps of a Monte-Carlo fit land on the boundary and cut.)
     """
     total = sigma + move
     trace = np.einsum("bii->b", move).real
@@ -417,9 +418,10 @@ def _start_states(settings: TomographySettings, w: np.ndarray) -> np.ndarray:
 
     Each complementary quadruple is normalized to unit sum (an all-zero
     one gets 1/4 per setting) and inverted linearly by
-    ``settings.linear_inversion``, and the estimate's eigenvalues are
-    projected onto the probability simplex.  A row starts at that
-    estimate if it is certified already: it gives every setting of
+    ``settings.linear_inversion``, and the estimate is projected onto the
+    density matrices as the step from I/4 to it, by
+    ``_projected_steps``, then made exactly Hermitian.  A row starts at
+    that estimate if it is certified already: it gives every setting of
     positive weight a probability above ``_BORN_ROUNDOFF``, and its gap
     is at most ``_TOL``, which bounds every ratio c_k / p_k of the
     gradient by 1 + ``_TOL``.  Exact frequencies of a state pass, unless
@@ -430,16 +432,11 @@ def _start_states(settings: TomographySettings, w: np.ndarray) -> np.ndarray:
     the projection gave probability 0, can be fitted.  The rows are
     independent.
     """
-    group = settings.group_index
-    sums = w @ (group[:, None] == group)  # each setting's quadruple sum
+    sums = _quadruple_sums(w, settings)[:, settings.group_index]  # each setting's group sum
     f = np.divide(w, sums, out=np.full(w.shape, 0.25), where=sums > 0.0)
     estimate = (f @ settings.linear_inversion).view(complex).reshape(-1, 4, 4)
-    vals, vecs = np.linalg.eigh(estimate)
-    kept = _simplex_kept_rows(vals)
-    cut = _RANKS <= 4 - kept[:, None]  # the lowest 4 - kept values, ascending order
-    threshold = (np.where(cut, 0.0, vals).sum(axis=1) - 1.0) / kept
-    vals = np.where(cut, 0.0, vals - threshold[:, None])
-    starts = _outer_products(vecs, vals)
+    starts = _EYE4 / 4.0 + _projected_steps(_EYE4 / 4.0, estimate - _EYE4 / 4.0)
+    starts = (starts + starts.conj().swapaxes(1, 2)) / 2.0
     p = starts.reshape(-1, 16).view(np.float64) @ settings.projectors_real.T
     # the rows whose estimate is certified already: every observed probability
     # above roundoff, and the gap of the normalized weights, lambda_max(R) - 1,
@@ -449,19 +446,11 @@ def _start_states(settings: TomographySettings, w: np.ndarray) -> np.ndarray:
     ratios = np.divide(c, p[keeps], out=np.zeros(c.shape), where=c > 0.0)
     r_op = (ratios @ settings.projectors_real).view(complex).reshape(-1, 4, 4)
     keeps[keeps] = np.linalg.eigvalsh(r_op)[:, -1] <= (1.0 + _TOL) * c.sum(axis=1)
-    mixed = ~keeps
-    starts[mixed] = _outer_products(vecs[mixed],
-                                    (1.0 - _START_MIX) * vals[mixed] + _START_MIX / 4.0)
+    starts[~keeps] = (1.0 - _START_MIX) * starts[~keeps] + _START_MIX / 4.0 * _EYE4
     return starts
 
 
-def _outer_products(vecs: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """The Hermitian (B, 4, 4) stack with eigenvectors ``vecs`` and eigenvalues ``vals``."""
-    rho = (vecs * vals[:, None, :]) @ vecs.conj().swapaxes(1, 2)
-    return (rho + rho.conj().swapaxes(1, 2)) / 2.0
-
-
-def _accelerated_ascent_batch(projectors_real, c, rho, tol, max_iterations):
+def _accelerated_ascent_batch(projectors_real, c, rho, max_iterations):
     """``_accelerated_ascent`` on a (B, 36) stack of normalized weights from (B, 4, 4) starts.
 
     Each start is scaled to unit trace, as the scalar path does, and must
@@ -474,16 +463,17 @@ def _accelerated_ascent_batch(projectors_real, c, rho, tol, max_iterations):
     the next pass, and a row that completes an iteration (a step
     accepted, or ``_MAX_HALVINGS`` failures) updates its iterate in the
     same pass, so no row waits for another's backtracking.  An attempt
-    takes one Born product, of the step: the probabilities of the
-    extrapolated point and of the move from the iterate are sums with
-    those of the momentum term, taken once per momentum update.  Only a
-    candidate that passes the guard and the acceptance test gets its own
-    Born product, which its positivity test and, once it is accepted,
-    its gradient use.  Zero weights drop out of every sum.  A row leaves
-    the live set at the first of the scalar stops: a certified gap of at
-    most ``tol``, the floor stop or the iteration cap.  Returns the
-    symmetrized unit-trace states, shape (B, 4, 4), with their gaps,
-    completed iterations and stop reasons.
+    takes one Born product, of the step.  Only a candidate that passes
+    the guard and the acceptance test gets its own Born product, which
+    its positivity test and, once it is accepted, its gradient use; the
+    move from the iterate and the extrapolated point of an accepted row
+    get theirs as the scalar path takes them.  Zero weights drop out of
+    every sum.  A row leaves the live set at the first of the scalar
+    stops, tested at the top of every pass: a certified gap of at most
+    ``_TOL``, the floor stop or the iteration cap; the loop ends when no
+    row is left, at once for an empty stack.  Returns the symmetrized
+    unit-trace states, shape (B, 4, 4), with their gaps, completed
+    iterations and stop reasons.
     """
     count = c.shape[0]
     rho_out = np.empty((count, 4, 4), dtype=complex)
@@ -511,40 +501,37 @@ def _accelerated_ascent_batch(projectors_real, c, rho, tol, max_iterations):
     p = born(rho) + unobserved
     r_rho = gradient(w, p)
     gap = np.linalg.eigvalsh(r_rho)[:, -1] - 1.0
-    # sigma = rho + ahead, the point the next attempt steps from; ahead and
-    # its probabilities are zero on rows without momentum
+    # sigma = rho + ahead, the point the next attempt steps from; ahead is
+    # zero on rows without momentum
     sigma, p_sigma, r_sigma = rho.copy(), p.copy(), r_rho.copy()
-    ahead, p_ahead = np.zeros_like(rho), np.zeros_like(p)
+    ahead = np.zeros_like(rho)
     ahead_on = np.zeros(count, dtype=bool)
     theta = np.ones(count)
     step = np.full(count, _STEP_START)
     failed = np.zeros(count, dtype=int)
     halvings = np.zeros(count, dtype=int)  # failed attempts of the current iteration
     iterations = np.zeros(count, dtype=int)  # completed iterations
-    completed = True  # whether a row completed an iteration since the last stop test
     # a step off the likelihood's domain yields nan, which every test below refuses
     with np.errstate(divide="ignore", invalid="ignore"):
         while True:
-            if completed:
-                done = ~(gap > tol) | (failed == 2) | (iterations >= max_iterations)
-                if done.any():
-                    out = rows[done]
-                    rho_out[out] = rho[done]
-                    gap_out[out] = gap[done]
-                    iterations_out[out] = iterations[done]
-                    stop_out[out] = np.where(gap[done] <= tol, "gap",
-                                             np.where(failed[done] == 2, "floor", "cap"))
-                    live = ~done
-                    if not live.any():
-                        break
-                    (rows, w, unobserved, rho, p, r_rho, gap, sigma, p_sigma, r_sigma, ahead,
-                     p_ahead, ahead_on, theta, step, failed, halvings, iterations) = (
-                        a[live] for a in (rows, w, unobserved, rho, p, r_rho, gap, sigma,
-                                          p_sigma, r_sigma, ahead, p_ahead, ahead_on, theta,
-                                          step, failed, halvings, iterations))
+            done = ~(gap > _TOL) | (failed == 2) | (iterations >= max_iterations)
+            if done.any():
+                out = rows[done]
+                rho_out[out] = rho[done]
+                gap_out[out] = gap[done]
+                iterations_out[out] = iterations[done]
+                stop_out[out] = np.where(gap[done] <= _TOL, "gap",
+                                         np.where(failed[done] == 2, "floor", "cap"))
+                live = ~done
+                (rows, w, unobserved, rho, p, r_rho, gap, sigma, p_sigma, r_sigma, ahead,
+                 ahead_on, theta, step, failed, halvings, iterations) = (
+                    a[live] for a in (rows, w, unobserved, rho, p, r_rho, gap, sigma, p_sigma,
+                                      r_sigma, ahead, ahead_on, theta, step, failed, halvings,
+                                      iterations))
+            if not rows.size:
+                break
             to_cand = _projected_steps(sigma, step[:, None, None] * r_sigma)
-            dp = born(to_cand)
-            x = dp / p_sigma
+            x = born(to_cand) / p_sigma
             flat = to_cand.reshape(-1, 16).view(np.float64)
             bound = -row_dot(flat, flat) / (2.0 * step)
             # an iteration makes at most _MAX_HALVINGS attempts, as the scalar loop does
@@ -560,14 +547,13 @@ def _accelerated_ascent_batch(projectors_real, c, rho, tol, max_iterations):
             step *= np.where(ok, 1.0, 0.5)
             halvings = np.where(ok, 0, halvings + 1)
             complete = ok | (halvings >= _MAX_HALVINGS)
-            completed = complete.any()
-            if not completed:
+            if not complete.any():
                 continue
             # the rows that completed an iteration: the scalar path's bookkeeping, row by row
             halvings[complete] = 0
             iterations += complete
             move = ahead + to_cand
-            gain = (row_dot(w, np.log1p((p_ahead + dp) / p))
+            gain = (row_dot(w, np.log1p(born(move) / p))
                     - np.log1p(np.einsum("bii->b", move).real))
             good = ok & (gain > 0.0)
             bad = np.flatnonzero(complete & ~good)
@@ -575,8 +561,7 @@ def _accelerated_ascent_batch(projectors_real, c, rho, tol, max_iterations):
                 restart = bad[~ahead_on[bad]]  # a step from the iterate itself failed
                 failed[restart] += 1
                 step[restart] *= 0.5
-                theta[bad], ahead_on[bad] = 1.0, False
-                ahead[bad], p_ahead[bad] = 0.0, 0.0
+                theta[bad], ahead_on[bad], ahead[bad] = 1.0, False, 0.0
                 sigma[bad], p_sigma[bad], r_sigma[bad] = rho[bad], p[bad], r_rho[bad]
             acc = np.flatnonzero(good)
             if acc.size:
@@ -589,42 +574,41 @@ def _accelerated_ascent_batch(projectors_real, c, rho, tol, max_iterations):
                 rho_a, p_a = cand[kept], p_cand[kept]
                 coef = np.where(on, (theta_a - 1.0) / theta_next, 0.0)
                 ahead_a = coef[:, None, None] * move[acc]
-                p_ahead_a = born(ahead_a)
-                p_sigma_a = p_a + p_ahead_a
+                sigma_a = rho_a + ahead_a
+                p_sigma_a = born(sigma_a) + unobserved[acc]
                 off = on & ~(p_sigma_a.min(axis=1) > 0.0)
                 if off.any():  # extrapolated off the domain
                     on &= ~off
                     theta[acc[off]] = 1.0
-                    ahead_a[off], p_ahead_a[off], p_sigma_a[off] = 0.0, 0.0, p_a[off]
+                    ahead_a[off], sigma_a[off], p_sigma_a[off] = 0.0, rho_a[off], p_a[off]
                 ahead_on[acc] = on
                 r_a = gradient(w_a, p_a)
                 rho[acc], p[acc], r_rho[acc] = rho_a, p_a, r_a
                 gap[acc] = np.linalg.eigvalsh(r_a)[:, -1] - 1.0
-                ahead[acc], p_ahead[acc] = ahead_a, p_ahead_a
-                sigma[acc], p_sigma[acc] = rho_a + ahead_a, p_sigma_a
+                ahead[acc], sigma[acc], p_sigma[acc] = ahead_a, sigma_a, p_sigma_a
                 r_sigma[acc] = np.where(on[:, None, None], gradient(w_a, p_sigma_a), r_a)
     rho_out = (rho_out + rho_out.conj().swapaxes(1, 2)) / 2.0
     rho_out /= np.einsum("bii->b", rho_out).real[:, None, None]
     return rho_out, gap_out, iterations_out, stop_out
 
 
-def mle_reconstruct(frequencies, settings: TomographySettings,
-                    tol: float = _TOL, max_iterations: int = _MAX_ITERATIONS,
-                    rho_start=None, on_iteration=None) -> ReconstructionResult:
+def mle_reconstruct(frequencies, settings: TomographySettings, *,
+                    max_iterations: int = _MAX_ITERATIONS, rho_start=None,
+                    on_iteration=None) -> ReconstructionResult:
     """Maximum-likelihood state from 36 coincidence frequencies or counts.
+
+    The ascent stops once the certified gap lambda_max(R) - 1 is at most
+    1e-10; it bounds the log-likelihood per unit weight still to be
+    gained.  Ascents that reach the floating-point floor first (two
+    restarts in a row that cannot raise the likelihood) stop with
+    ``stop="floor"`` and count as converged only at a gap of at most 1e-8.
 
     Parameters
     ----------
     frequencies : array_like, shape (36,)
         Nonnegative counts or relative frequencies in settings order;
-        any overall scale is irrelevant.
-    tol : float
-        Stop once the certified gap lambda_max(R) - 1 is at most ``tol``;
-        it bounds the log-likelihood per unit weight still to be gained.
-        Ascents that reach the floating-point floor first (two restarts
-        in a row that cannot raise the likelihood) stop with
-        ``stop="floor"`` and count as converged only at a gap of at
-        most 1e-8.
+        any overall scale is irrelevant.  The parameters after
+        ``settings`` are keyword-only.
     max_iterations : int
         Iteration cap; hitting it returns the best iterate with
         ``stop="cap"`` and ``converged=False``.
@@ -655,7 +639,7 @@ def mle_reconstruct(frequencies, settings: TomographySettings,
     else:
         rho = validate_density_matrix(rho_start, name="rho_start").astype(complex)
     rho, ll, gap, iterations, stop = _accelerated_ascent(
-        settings.projectors_real, c, rho, tol, max_iterations, on_iteration)
+        settings.projectors_real, c, rho, max_iterations, on_iteration)
     rho = (rho + rho.conj().T) / 2.0
     rho /= np.trace(rho).real
     return ReconstructionResult(rho=rho, log_likelihood=ll * total, iterations=iterations,
@@ -775,8 +759,7 @@ def mle_curve(rho0: np.ndarray, eta_a: float, eta_b: float, n_bar_grid) -> list[
         raise ValueError("frequencies must not be all zero")
     weights = frequencies / totals
     rhos, gaps, _, stops = _accelerated_ascent_batch(
-        settings.projectors_real, weights, _start_states(settings, weights), _TOL,
-        _MAX_ITERATIONS)
+        settings.projectors_real, weights, _start_states(settings, weights), _MAX_ITERATIONS)
     failed = [(n_bar, gap, stop)
               for n_bar, gap, stop in zip(grid.tolist(), gaps.tolist(), stops.tolist())
               if not _certified(stop, gap)]

@@ -1,9 +1,16 @@
 """Property tests over random mixed states and random local unitaries.
 
-Examples are derandomized and bounded in number, so a run is
-deterministic and takes a few seconds.  The fits of random states and
-of near-pure dephased states at low gain must certify and reproduce
-their input probabilities, through both solver paths.
+Examples are derandomized and bounded in number, so a run takes a few
+seconds and is deterministic for a fixed tree and test selection.  It is
+not deterministic across either: on a small share of its draws
+hypothesis uses a literal taken from the non-test modules loaded at that
+moment, so an edit of any source module, or a test file that imports
+one more module (``test_cli.py`` imports ``entqkd.cli``, whose
+``1e-6`` joins the pool), changes what a property test draws.  A new
+failure after an unrelated edit is therefore a real defect that the new
+draw found: fix it, do not reseed the test away from it.  The fits of
+random states and of near-pure dephased states at low gain must certify
+and reproduce their input probabilities, through both solver paths.
 """
 
 import math
@@ -18,6 +25,7 @@ from entqkd import (SourceParams, TomographySettings, bell_state, correlation_an
                     evaluate_state, mle_reconstruct, optimal_bases, synthesize_frequencies,
                     tomography, verify_bases, waveplate_angles)
 from entqkd.bases import ORDERINGS
+from entqkd.metrics import TSIRELSON
 from entqkd.states import POLARIZATION_KETS
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=200, database=None)
@@ -119,8 +127,10 @@ def test_figures_invariant_under_local_unitaries(rho, u):
 @PROPERTY
 @given(rho=mixed_states())
 def test_devetak_winter_rate_lies_in_unit_interval(rho):
-    _, _, r_dw = evaluate_state(rho)
+    s, q, r_dw = evaluate_state(rho)
     assert 0.0 <= r_dw <= 1.0
+    assert 0.0 <= s <= TSIRELSON
+    assert 0.0 <= q <= 0.5
 
 
 @PROPERTY
@@ -149,7 +159,7 @@ def test_fits_certify_and_recover_the_probabilities(rho, dephased):
     weights = stack / stack.sum(axis=1, keepdims=True)
     mixed = np.eye(4, dtype=complex) / 4.0
     rhos, gaps, _, stops = tomography._accelerated_ascent_batch(
-        SETTINGS.projectors_real, weights, np.array([mixed, mixed]), 1e-10, 10000)
+        SETTINGS.projectors_real, weights, np.array([mixed, mixed]), 10000)
     singles = [mle_reconstruct(freqs, SETTINGS, rho_start=mixed) for freqs in stack]
     assert stops[1] == "gap" and singles[1].stop == "gap"
     for freqs, w, single, batched, gap, stop in zip(stack, weights, singles, rhos, gaps, stops):

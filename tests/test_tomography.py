@@ -1,4 +1,5 @@
 import math
+import signal
 import statistics
 
 import numpy as np
@@ -40,7 +41,7 @@ def batch_fit(weights, starts=None, max_iterations=10000):
     if starts is None:
         starts = tomography._start_states(SETTINGS, weights)
     return tomography._accelerated_ascent_batch(SETTINGS.projectors_real, weights, starts,
-                                                1e-10, max_iterations)
+                                                max_iterations)
 
 
 def sampled_dataset(rho0, params, n_windows, rng, tau_s=1e-9):
@@ -590,6 +591,24 @@ class TestBatchedAscent:
         for rho, (rho_alone, _, _, _), rec in zip(rhos, alone, scalar):
             assert np.max(np.abs(rho - rho_alone[0])) <= 1e-12
             assert np.max(np.abs(rho - rec.rho)) <= 1e-12
+
+    def test_empty_stack_returns_at_once(self):
+        # the alarm turns a fit that never returns into a failure, not a stalled suite
+        def hung(signum, frame):
+            raise TimeoutError("the fit of an empty stack did not return within 10 s")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.setitimer(signal.ITIMER_REAL, 10.0)
+        try:
+            rhos, gaps, iterations, stops = batch_fit(np.empty((0, 36)),
+                                                    np.empty((0, 4, 4), dtype=complex))
+            points = mle_curve(PHI_PLUS, 0.5, 0.5, [])
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
+            signal.signal(signal.SIGALRM, previous)
+        assert rhos.shape == (0, 4, 4)
+        assert gaps.shape == iterations.shape == stops.shape == (0,)
+        assert points == []
 
 
 class TestBoundaryGuard:
