@@ -9,15 +9,15 @@ the optimal measurement bases together with waveplate dial settings.
 
 __version__ = "0.1.0"
 
-from .bases import (BasisSet, NoSignalError, WaveplateSetting, optimal_bases,
-                    verify_bases, waveplate_angles)
+from .bases import (BasisSet, NoSignalError, WaveplateSetting, basis_report,
+                    optimal_bases, verify_bases, waveplate_angles)
 from .metrics import (QkdMetrics, binary_entropy, chsh_max, devetak_winter,
                       devetak_winter_raw, evaluate_state, key_rate, qber_min,
                       s_q_from_kappa)
 from .optimize import (CRITICAL_N_BAR_LIMIT, R_KEY_MAX_SPDC, GainOptimum,
-                       NoSecurityError, QdThreshold, critical_gain,
-                       optimize_gain, qd_key_line, qd_reference_state,
-                       qd_threshold)
+                       NoSecurityError, QdThreshold, comparison_series,
+                       critical_gain, optimize_gain, qd_key_line,
+                       qd_reference_state, qd_threshold)
 from .spdc import (ModelPoint, SourceParams, click_probabilities,
                    coincidence_probability, coincidence_rate_exact,
                    effective_state, kappa_approx, kappa_exact, model_curve)
@@ -41,9 +41,10 @@ __all__ = [
     "QkdMetrics", "ReconstructionResult", "SourceParams", "TomographyDataset",
     "TomographySettings", "UncertaintyReport", "WaveplateSetting",
     "CRITICAL_N_BAR_LIMIT", "R_KEY_MAX_SPDC",
-    "bell_state", "binary_entropy", "bloch_projector", "bloch_to_ket",
-    "chsh_max", "click_probabilities", "coincidence_probability",
-    "coincidence_rate_exact", "coincidence_rate_from_counts", "concurrence",
+    "basis_report", "bell_state", "binary_entropy", "bloch_projector",
+    "bloch_to_ket", "chsh_max", "click_probabilities", "coincidence_probability",
+    "coincidence_rate_exact", "coincidence_rate_from_counts", "comparison_series",
+    "concurrence",
     "correlation_analysis", "critical_gain", "devetak_winter",
     "devetak_winter_raw", "effective_state", "evaluate_state", "fidelity",
     "fit_kappa", "kappa_approx", "kappa_exact", "ket_to_dm", "key_rate",

@@ -25,6 +25,9 @@ pi).  The antipodal direction -x maps to the same dial settings with
 the two beam-splitter outputs relabeled.  With atan2(0, 0) = 0 a
 circular projection deterministically lands on theta_H = pi/8 even
 though any HWP angle would do there.
+
+``basis_report`` bundles the bases, their dials and the values they
+achieve into the JSON block of a reconstruction report.
 """
 
 from __future__ import annotations
@@ -167,3 +170,30 @@ def waveplate_angles(x) -> WaveplateSetting:
     theta_h = 0.25 * (math.atan2(x[0], x[2]) + arc)
     return WaveplateSetting(theta_q=_reduce_angle(theta_q, math.pi),
                             theta_h=_reduce_angle(theta_h, math.pi / 2.0))
+
+
+def basis_report(rho: np.ndarray, ordering: str = "alice_first") -> dict | None:
+    """Optimal bases of rho with their dials, as a JSON-ready block.
+
+    Holds the ordering, the S and Q the bases achieve (``verify_bases``)
+    and, per basis, its label, Bloch vector and both waveplate angles in
+    degrees rounded to 4 decimals.  Returns None when rho has no
+    correlations to align bases with (``optimal_bases`` raises
+    NoSignalError there).
+    """
+    try:
+        basis_set = optimal_bases(rho, ordering)
+    except NoSignalError:
+        return None
+    s_achieved, q_achieved = verify_bases(rho, basis_set)
+    rows = []
+    for label, vec in basis_set.labeled():
+        dials = waveplate_angles(vec)
+        rows.append({
+            "label": label,
+            "bloch": [float(v) for v in vec],
+            "theta_h_deg": round(math.degrees(dials.theta_h), 4),
+            "theta_q_deg": round(math.degrees(dials.theta_q), 4),
+        })
+    return {"ordering": ordering, "achieved_S": s_achieved,
+            "achieved_Q": q_achieved, "settings": rows}

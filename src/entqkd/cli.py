@@ -15,6 +15,11 @@ Exit codes: 0 success, 2 invalid input, 3 a reconstruction did not
 converge (``reconstruct`` still writes its report; ``model`` and
 ``compare`` write no CSV).  All outputs are deterministic given the
 flags and seed.
+
+Each command parses its flags, makes one library call and writes what
+it returns; the comparison series come from
+``optimize.comparison_series`` and the basis block from
+``bases.basis_report``.
 """
 
 from __future__ import annotations
@@ -22,7 +27,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 
@@ -38,6 +42,7 @@ EXIT_NO_CONVERGENCE = 3
 
 _DEFAULT_GRID = "0.001:0.2:120"
 _DEFAULT_S_TARGET = 2.815
+_DEFAULT_ETA = 1.0
 _DEFAULT_COMPARE_ETA = 0.16
 
 
@@ -57,11 +62,14 @@ def _parse_grid(spec: str, log: bool) -> np.ndarray:
     return (np.geomspace if log else np.linspace)(start, stop, steps)
 
 
-def _resolve_etas(args) -> tuple[float, float]:
+def _resolve_etas(args, default: float) -> tuple[float, float]:
+    """(eta_a, eta_b) from the flags; ``default`` for both arms when none is given."""
     if args.eta is not None:
         if args.eta_a is not None or args.eta_b is not None:
             raise ValueError("--eta conflicts with --eta-a/--eta-b")
         eta_a = eta_b = args.eta
+    elif args.eta_a is None and args.eta_b is None:
+        eta_a = eta_b = default
     else:
         eta_a = args.eta_a if args.eta_a is not None else 1.0
         eta_b = args.eta_b if args.eta_b is not None else 1.0
@@ -81,25 +89,6 @@ def _write_text(text: str, out) -> None:
     else:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
-
-
-def _basis_table(state, ordering: str) -> dict | None:
-    try:
-        basis_set = bases.optimal_bases(state, ordering)
-    except bases.NoSignalError:
-        return None
-    s_achieved, q_achieved = bases.verify_bases(state, basis_set)
-    rows = []
-    for label, vec in basis_set.labeled():
-        dials = bases.waveplate_angles(vec)
-        rows.append({
-            "label": label,
-            "bloch": [float(v) for v in vec],
-            "theta_h_deg": round(math.degrees(dials.theta_h), 4),
-            "theta_q_deg": round(math.degrees(dials.theta_q), 4),
-        })
-    return {"ordering": ordering, "achieved_S": s_achieved,
-            "achieved_Q": q_achieved, "settings": rows}
 
 
 def cmd_reconstruct(args) -> int:
@@ -131,7 +120,7 @@ def cmd_reconstruct(args) -> int:
         },
         "metrics": qkd.to_json_dict(),
         "uncertainty": uncertainty,
-        "bases": _basis_table(result.rho, args.ordering),
+        "bases": bases.basis_report(result.rho, args.ordering),
         "provenance": {
             "tool": "entqkd",
             "version": __version__,
@@ -148,7 +137,7 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_model(args) -> int:
-    eta_a, eta_b = _resolve_etas(args)
+    eta_a, eta_b = _resolve_etas(args, _DEFAULT_ETA)
     grid = _parse_grid(args.nbar_grid, args.log)
     if args.rho0_file is not None:
         points = tomography.mle_curve(_load_rho0(args.rho0_file), eta_a, eta_b, grid)
@@ -159,7 +148,7 @@ def cmd_model(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    eta_a, eta_b = _resolve_etas(args)
+    eta_a, eta_b = _resolve_etas(args, _DEFAULT_ETA)
     optimum = optimize.optimize_gain(eta_a, eta_b)
     payload = {
         "eta_a": eta_a,
@@ -177,7 +166,7 @@ def cmd_bases(args) -> int:
         state = _load_rho0(args.rho0_file)
     else:
         state = bell_state(args.bell)
-    table = _basis_table(state, args.ordering)
+    table = bases.basis_report(state, args.ordering)
     if table is None:
         print("error: state has no correlations, no optimal basis exists", file=sys.stderr)
         return EXIT_INPUT
@@ -193,7 +182,7 @@ def cmd_bases(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    eta_a, eta_b = _resolve_etas(args)
+    eta_a, eta_b = _resolve_etas(args, _DEFAULT_COMPARE_ETA)
     grid = _parse_grid(args.nbar_grid, True)
     if args.rho0_file is not None:
         rho0 = _load_rho0(args.rho0_file)
@@ -201,31 +190,10 @@ def cmd_compare(args) -> int:
         s_target = check_range("--s-target", args.s_target, 0.0, metrics.TSIRELSON)
         rho0 = werner_mix(bell_state("phi+"), 1.0 - s_target / metrics.TSIRELSON)
 
-    dephasing = optimize.qd_threshold(0.95, "dephasing")
-    white = optimize.qd_threshold(0.95, "white")
-    peak = optimize.optimize_gain(1.0, 1.0)
-    bound = optimize.R_KEY_MAX_SPDC
-    rc_grid = np.geomspace(1e-6, 0.2, 60)
-    files = {
-        "spdc_ideal.csv": (dataio.MODEL_CSV_HEADER, spdc.model_curve(1.0, 1.0, grid)),
-        "spdc_model.csv": (dataio.MODEL_CSV_HEADER,
-                           tomography.mle_curve(rho0, eta_a, eta_b, grid)),
-        "thresholds.csv": ("label,r_c,R_key", [
-            ("spdc_bound", spdc.coincidence_rate_exact(peak.n_bar_opt, 1.0, 1.0), bound),
-            ("threshold_dephasing_c95", dephasing.r_c_threshold, bound),
-            ("threshold_white_c95", white.r_c_threshold, bound)]),
-        "single_pair_lines.csv": ("source,r_c,R_key", [
-            (name, r_c, r_key)
-            for name, r_dw in (("ideal_single_pair", 1.0), ("dephasing_c95", dephasing.r_dw),
-                               ("white_c95", white.r_dw))
-            for r_c, r_key in optimize.qd_key_line(r_dw, rc_grid)]),
-        "reference_points.csv": ("tau_ns,r_c,S,Q,r_dw,R_key", [
-            (row.tau_ns, row.r_c.value, row.s.value, row.q.value, row.r_dw.value,
-             row.r_key.value) for row in refdata.load_reference_table()]),
-    }
+    series = optimize.comparison_series(rho0, eta_a, eta_b, grid)
     os.makedirs(args.out_dir, exist_ok=True)
-    for name, (header, rows) in files.items():
-        _write_text(dataio.csv_text(header, rows), os.path.join(args.out_dir, name))
+    for name, (header, rows) in series.items():
+        _write_text(dataio.csv_text(header, rows), os.path.join(args.out_dir, f"{name}.csv"))
 
     print(f"wrote comparison series to {args.out_dir}")
     return EXIT_OK
@@ -255,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"entqkd {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_eta_flags(p, default=1.0):
+    def add_eta_flags(p, default):
         p.add_argument("--eta", type=float, default=None,
                        help=f"symmetric transmittance for both arms (default {default} "
                             "when no transmittance flag is given)")
@@ -274,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_reconstruct)
 
     p = sub.add_parser("model", help="rate-versus-gain curve as CSV")
-    add_eta_flags(p)
+    add_eta_flags(p, _DEFAULT_ETA)
     p.add_argument("--nbar-grid", default=_DEFAULT_GRID, metavar="START:STOP:STEPS")
     p.add_argument("--log", action="store_true", help="logarithmic gain grid")
     p.add_argument("--rho0-file", default=None,
@@ -283,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_model)
 
     p = sub.add_parser("optimize", help="optimal and critical gain")
-    add_eta_flags(p)
+    add_eta_flags(p, _DEFAULT_ETA)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_optimize)
 
@@ -320,9 +288,6 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    if args.command == "compare" and args.eta is None and args.eta_a is None \
-            and args.eta_b is None:
-        args.eta = _DEFAULT_COMPARE_ETA
     # looked up by name on every call, so a command wrapped after the parser
     # was built is the one that runs
     command = globals()[args.func.__name__]

@@ -18,11 +18,9 @@ import sys
 
 import numpy as np
 
-from .spdc import ModelPoint
+from .spdc import MODEL_CSV_HEADER, ModelPoint
 from .states import validate_density_matrix
 from .tomography import PROJECTION_LABELS, TomographyDataset, TomographySettings
-
-MODEL_CSV_HEADER = "n_bar,kappa,S,Q,r_dw,r_c,R_key"
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
 

@@ -13,6 +13,9 @@ limit, which bounds the search bracket.
 Comparison sources with at most one pair per trigger are scored by the
 coincidence rate they need to beat the CW bound R_KEY_MAX_SPDC: at
 Devetak-Winter rate r_DW, the break-even rate is R_KEY_MAX_SPDC / r_DW.
+``comparison_series`` gathers the CW curves, these thresholds, the
+single-pair key lines and the reference measurements into the series
+that ``entqkd compare`` writes.
 """
 
 from __future__ import annotations
@@ -21,9 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import metrics
+from . import metrics, tomography
 from .numeric import bisect_root, check_range, golden_section_max
-from .spdc import _model_point, kappa_approx, kappa_exact
+from .spdc import (MODEL_CSV_HEADER, _model_point, coincidence_rate_exact, kappa_approx,
+                   kappa_exact, model_curve)
 from .states import bell_state, werner_mix
 
 #: Rounded CW-source key-rate bound used for the comparison thresholds
@@ -35,6 +39,9 @@ R_KEY_MAX_SPDC = 0.029
 CRITICAL_N_BAR_LIMIT = 0.166839
 
 NOISE_MODELS = ("dephasing", "white")
+
+#: Coincidence rates at which the single-pair key lines are tabulated.
+_LINE_R_C_GRID = np.geomspace(1e-6, 0.2, 60)
 
 
 class NoSecurityError(ValueError):
@@ -135,3 +142,48 @@ def qd_key_line(r_dw: float, r_c_grid) -> list[tuple[float, float]]:
     """Linear key-rate line R_key = r_DW * r_C of a single-pair source."""
     check_range("r_dw", r_dw, 0.0, 1.0)
     return [(float(r_c), metrics.key_rate(r_dw, float(r_c))) for r_c in r_c_grid]
+
+
+def comparison_series(rho0: np.ndarray, eta_a: float, eta_b: float,
+                      n_bar_grid) -> dict[str, tuple[str, list]]:
+    """The CW source against single-pair sources, as named CSV series.
+
+    Maps each series name to its (header, rows):
+
+    - ``spdc_ideal``: the Bell-input model curve at unit transmittance;
+    - ``spdc_model``: the curve of the single-pair state ``rho0`` at
+      (eta_a, eta_b), fitted through ``tomography.mle_curve``;
+    - ``thresholds``: the CW bound's coincidence rate and the break-even
+      rates of single-pair sources of concurrence 0.95 under dephasing
+      and white noise, each at R_key = R_KEY_MAX_SPDC;
+    - ``single_pair_lines``: R_key = r_DW r_C of the ideal and the two
+      noisy single-pair sources;
+    - ``reference_points``: the bundled reference measurements.
+
+    Everything is computed before the function returns, so an
+    unconverged curve point raises ConvergenceError and leaves nothing
+    half written for the caller.
+    """
+    # imported here, so that importing the package does not load the table reader
+    from .refdata import load_reference_table
+
+    dephasing = qd_threshold(0.95, "dephasing")
+    white = qd_threshold(0.95, "white")
+    peak = optimize_gain(1.0, 1.0)
+    bound = R_KEY_MAX_SPDC
+    return {
+        "spdc_ideal": (MODEL_CSV_HEADER, model_curve(1.0, 1.0, n_bar_grid)),
+        "spdc_model": (MODEL_CSV_HEADER, tomography.mle_curve(rho0, eta_a, eta_b, n_bar_grid)),
+        "thresholds": ("label,r_c,R_key", [
+            ("spdc_bound", coincidence_rate_exact(peak.n_bar_opt, 1.0, 1.0), bound),
+            ("threshold_dephasing_c95", dephasing.r_c_threshold, bound),
+            ("threshold_white_c95", white.r_c_threshold, bound)]),
+        "single_pair_lines": ("source,r_c,R_key", [
+            (name, r_c, r_key)
+            for name, r_dw in (("ideal_single_pair", 1.0), ("dephasing_c95", dephasing.r_dw),
+                               ("white_c95", white.r_dw))
+            for r_c, r_key in qd_key_line(r_dw, _LINE_R_C_GRID)]),
+        "reference_points": ("tau_ns,r_c,S,Q,r_dw,R_key", [
+            (row.tau_ns, row.r_c.value, row.s.value, row.q.value, row.r_dw.value,
+             row.r_key.value) for row in load_reference_table()]),
+    }

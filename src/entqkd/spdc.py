@@ -163,6 +163,10 @@ def effective_state(params: SourceParams, rho_b: np.ndarray) -> np.ndarray:
     return werner_mix(rho_b, kappa)
 
 
+#: CSV column names of a ModelPoint row, in field order.
+MODEL_CSV_HEADER = "n_bar,kappa,S,Q,r_dw,r_c,R_key"
+
+
 class ModelPoint(NamedTuple):
     n_bar: float
     kappa: float

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import helpers
-from entqkd import (MAXIMALLY_MIXED, NoSignalError, bell_state, chsh_max,
+from entqkd import (MAXIMALLY_MIXED, NoSignalError, basis_report, bell_state, chsh_max,
                     correlation_analysis, ket_to_dm, optimal_bases, qber_min,
                     verify_bases, waveplate_angles)
 from entqkd.bases import BasisSet, WaveplateSetting
@@ -146,3 +146,26 @@ class TestWaveplateAngles:
     def test_setting_range_guard(self):
         with pytest.raises(ValueError):
             WaveplateSetting(theta_q=2.0, theta_h=0.0)
+
+
+class TestBasisReport:
+    @pytest.mark.parametrize("ordering", ["alice_first", "bob_first"])
+    def test_no_signal(self, ordering):
+        # I/4 and a product state with one polarized arm both have T = 0
+        h_mixed = np.kron(ket_to_dm(POLARIZATION_KETS["H"]), np.eye(2) / 2.0)
+        for rho in (MAXIMALLY_MIXED, h_mixed):
+            assert basis_report(rho, ordering) is None
+
+    @pytest.mark.parametrize("ordering", ["alice_first", "bob_first"])
+    def test_block_follows_the_bases(self, ordering):
+        rho = bell_state("psi-") * 0.9 + MAXIMALLY_MIXED * 0.1
+        block = basis_report(rho, ordering)
+        bs = optimal_bases(rho, ordering)
+        assert block["ordering"] == ordering
+        assert (block["achieved_S"], block["achieved_Q"]) == verify_bases(rho, bs)
+        assert [row["label"] for row in block["settings"]] == ["A0", "A1", "A2", "B1", "B2"]
+        for row, (_, vec) in zip(block["settings"], bs.labeled()):
+            dials = waveplate_angles(vec)
+            assert row["bloch"] == [float(v) for v in vec]
+            assert row["theta_h_deg"] == round(math.degrees(dials.theta_h), 4)
+            assert row["theta_q_deg"] == round(math.degrees(dials.theta_q), 4)

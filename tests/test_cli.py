@@ -5,10 +5,12 @@ import warnings
 import numpy as np
 import pytest
 
-from entqkd import SourceParams, bell_state, synthesize_frequencies, werner_mix
+from entqkd import (SourceParams, basis_report, bell_state, comparison_series,
+                    synthesize_frequencies, werner_mix)
 from entqkd.cli import main
-from entqkd.dataio import (canonical_json, dataset_to_dict, density_matrix_to_json,
-                           model_points_to_csv)
+from entqkd.dataio import (canonical_json, csv_text, dataset_to_dict, density_matrix_from_json,
+                           density_matrix_to_json, model_points_to_csv)
+from entqkd.metrics import TSIRELSON
 from entqkd.spdc import model_curve
 from entqkd.tomography import TomographyDataset, TomographySettings
 
@@ -78,6 +80,17 @@ class TestReconstruct:
         out3 = tmp_path / "r3.json"
         main(["reconstruct", str(ds_path), "--mc", "25", "--seed", "10", "--out", str(out3)])
         assert out3.read_bytes() != out1.read_bytes()
+
+    @pytest.mark.parametrize("ordering", ["alice_first", "bob_first"])
+    def test_bases_block_is_the_basis_report(self, tmp_path, rng, ordering):
+        ds_path = write_dataset(tmp_path / "noisy.json", rng.poisson(300, size=36))
+        out = tmp_path / "report.json"
+        assert main(["reconstruct", str(ds_path), "--ordering", ordering,
+                     "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        rho = density_matrix_from_json(report["reconstruction"]["rho"])
+        assert report["bases"] is not None
+        assert report["bases"] == json.loads(canonical_json(basis_report(rho, ordering)))
 
     def test_truncated_file_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "broken.json"
@@ -314,6 +327,19 @@ class TestCompare:
                      "--rho0-file", str(rho_path), "--out-dir", str(out_dir)]) == 3
         assert "error: the fit at n_bar = 0.001 did not converge" in capsys.readouterr().err
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("flags,eta_a,eta_b", [([], 0.16, 0.16),
+                                                   (["--eta-a", "0.8"], 0.8, 1.0)])
+    def test_files_are_the_comparison_series(self, tmp_path, flags, eta_a, eta_b):
+        out_dir = tmp_path / "cmp"
+        assert main(["compare", "--nbar-grid", "0.001:0.2:8", "--out-dir", str(out_dir),
+                     *flags]) == 0
+        rho0 = werner_mix(bell_state("phi+"), 1.0 - 2.815 / TSIRELSON)
+        series = comparison_series(rho0, eta_a, eta_b, np.geomspace(0.001, 0.2, 8))
+        assert sorted(p.name for p in out_dir.iterdir()) == sorted(f"{name}.csv"
+                                                                   for name in series)
+        for name, (header, rows) in series.items():
+            assert (out_dir / f"{name}.csv").read_text() == csv_text(header, rows)
 
     def test_reference_points_carry_all_rows(self, tmp_path):
         out_dir = tmp_path / "cmp"
