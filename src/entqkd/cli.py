@@ -11,10 +11,10 @@ compare      CSV series contrasting the CW source bound with ideal and
              noisy single-pair sources.
 table-check  Internal-consistency check of the bundled reference table.
 
-Exit codes: 0 success, 2 invalid input, 3 a reconstruction did not
-converge (``reconstruct`` still writes its report; ``model`` and
-``compare`` write no CSV).  All outputs are deterministic given the
-flags and seed.
+Exit codes: 0 success, 1 ``table-check`` found an inconsistent row,
+2 invalid input, 3 a reconstruction did not converge (``reconstruct``
+still writes its report; ``model`` and ``compare`` write no CSV).  All
+outputs are deterministic given the flags and seed.
 
 Each command parses its flags, makes one library call and writes what
 it returns; the comparison series come from
@@ -37,6 +37,7 @@ from .numeric import check_range
 from .states import bell_state, werner_mix
 
 EXIT_OK = 0
+EXIT_INCONSISTENT = 1
 EXIT_INPUT = 2
 EXIT_NO_CONVERGENCE = 3
 
@@ -60,6 +61,19 @@ def _parse_grid(spec: str, log: bool) -> np.ndarray:
     if not stop > start:
         raise ValueError(f"grid needs start < stop, got {spec!r}")
     return (np.geomspace if log else np.linspace)(start, stop, steps)
+
+
+def _checked_int(requirement: str, ok):
+    """argparse type: an integer n with ok(n), else an error naming the requirement."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text!r}")
+        return value
+    return parse
 
 
 def _resolve_etas(args, default: float) -> tuple[float, float]:
@@ -213,7 +227,7 @@ def cmd_table_check(args) -> int:
         if not chk.ok:
             failures += 1
     print(f"{len(checks) - failures}/{len(checks)} rows consistent")
-    return EXIT_OK if failures == 0 else 1
+    return EXIT_OK if failures == 0 else EXIT_INCONSISTENT
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -234,9 +248,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reconstruct", help="MLE reconstruction and QKD report")
     p.add_argument("dataset", help="dataset JSON file")
-    p.add_argument("--mc", type=int, default=0, metavar="N",
-                   help="Monte-Carlo samples for uncertainties (0 = skip)")
-    p.add_argument("--seed", type=int, default=0, help="master seed for Monte-Carlo")
+    p.add_argument("--mc", type=_checked_int("0 or an integer of at least 2",
+                                             lambda n: n == 0 or n >= 2),
+                   default=0, metavar="N", help="Monte-Carlo samples for uncertainties (0 = skip)")
+    p.add_argument("--seed", type=_checked_int("a nonnegative integer", lambda n: n >= 0),
+                   default=0, help="master seed for Monte-Carlo")
     p.add_argument("--ordering", choices=bases.ORDERINGS, default="alice_first")
     p.add_argument("--out", default=None, help="report path (default: stdout)")
     p.set_defaults(func=cmd_reconstruct)

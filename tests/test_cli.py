@@ -157,6 +157,27 @@ class TestReconstruct:
         assert f"error: {field}: must be positive and finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag,value,requirement", [
+        ("--seed", "-1", "a nonnegative integer"), ("--seed", "1.5", "a nonnegative integer"),
+        ("--mc", "1", "0 or an integer of at least 2"),
+        ("--mc", "-3", "0 or an integer of at least 2")])
+    def test_bad_monte_carlo_flag_exits_2_before_any_fit(self, tmp_path, monkeypatch, capsys,
+                                                         flag, value, requirement):
+        import entqkd.cli as cli
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("mle_reconstruct ran despite an invalid flag")
+
+        monkeypatch.setattr(cli.tomography, "mle_reconstruct", no_fit)
+        ds_path = bell_dataset(tmp_path / "bell.json")
+        out = tmp_path / "report.json"
+        argv = ["reconstruct", str(ds_path), "--mc", "5", "--out", str(out), flag, value]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"argument {flag}: must be {requirement}, got {value!r}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_count_beyond_int64_exits_2(self, tmp_path, capsys):
         obj = {"tau_s": 1e-9, "duration_s": 1.0,
                "measurements": [{"a": a, "b": b, "count": 100} for a, b in SETTINGS.pairs]}
@@ -393,10 +414,12 @@ class TestTableCheck:
 
     def test_corrupted_table_fails(self, tmp_path, capsys):
         from importlib import resources
+
+        import entqkd.cli as cli
         text = resources.files("entqkd.data").joinpath("reference_table.json").read_text()
         obj = json.loads(text)
         obj["rows"][0]["r_dw"]["value"] = 0.5  # inconsistent with printed (S, Q)
         bad = tmp_path / "table.json"
         bad.write_text(json.dumps(obj))
-        assert main(["table-check", str(bad)]) == 1
+        assert main(["table-check", str(bad)]) == cli.EXIT_INCONSISTENT == 1
         assert "FAIL" in capsys.readouterr().out
