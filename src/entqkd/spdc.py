@@ -27,7 +27,13 @@ n pairs.  Summing the Poisson mixture in closed form gives
 
 where 1 - A = eB m_B, 1 - B = eA m_A and 1 - D = eA m_A + eB m_B - p11
 are the probabilities that Bob clicks, that Alice clicks, and that
-either clicks.
+either clicks.  With x = n(1 - A), y = n(1 - B) and z = n p11, so that
+n(1 - D) = x + y - z, it is evaluated as
+
+    c = expm1(-x) expm1(-y) + e^{-(x+y)} expm1(z),
+
+a sum of two nonnegative terms: nothing cancels, however small the
+gain or the transmittances.
 
 When rho_0 is a Bell state, the maximum-likelihood estimate of the
 effective two-qubit state is the Bell state mixed with white noise of
@@ -99,8 +105,8 @@ def coincidence_probability(probs, n_bar) -> np.ndarray:
     gives every gain of a grid for a (36, 4) ``probs`` in one call; the
     result has the broadcast shape.  Each probability must lie in [0, 1]
     and each row must sum to 1, both within 1e-12.  Equals the series
-    sum_n P(n; n_bar) [1 - A^n - B^n + D^n]; the grouped expm1 form below
-    avoids cancellation at small n_bar.
+    sum_n P(n; n_bar) [1 - A^n - B^n + D^n], evaluated in the grouping of
+    the module docstring so that no two terms cancel.
     """
     n_bar = check_range("n_bar", np.asarray(n_bar, dtype=float), 0.0)
     probs = np.asarray(probs, dtype=float)
@@ -110,9 +116,14 @@ def coincidence_probability(probs, n_bar) -> np.ndarray:
     if not np.all(np.abs(probs.sum(axis=-1) - 1.0) <= 1e-12):
         raise ValueError("click probabilities must sum to 1")
     p11, p10, p01, _ = np.moveaxis(probs, -1, 0)
-    # c = (1 - e^{-n(1-A)}) - (e^{-n(1-B)} - e^{-n(1-D)}), 1 - A = p11 + p01
-    return (-np.expm1(-n_bar * (p11 + p01))
-            - np.exp(-n_bar * (p11 + p10 + p01)) * np.expm1(n_bar * p01))
+    # x, y: mean Bob and Alice clicks per window; x + y - z: either side clicks
+    x, y, z = n_bar * (p11 + p01), n_bar * (p11 + p10), n_bar * p11
+    return np.expm1(-x) * np.expm1(-y) + np.exp(-(x + y)) * np.expm1(z)
+
+
+def _expm1_ratio(t: float) -> float:
+    """g(t) = expm1(t) / t, with g(0) = 1."""
+    return math.expm1(t) / t if t != 0.0 else 1.0
 
 
 def kappa_exact(n_bar: float, eta_a: float, eta_b: float) -> float:
@@ -123,19 +134,23 @@ def kappa_exact(n_bar: float, eta_a: float, eta_b: float) -> float:
         2 (e^{eA n/2}-1)(e^{eB n/2}-1) /
         (1 - 2 e^{eA n/2} - 2 e^{eB n/2} + e^{eA eB n/2} + 2 e^{(eA+eB) n/2})
 
-    is rewritten as num / (num + expm1(eA eB n / 2)), an algebraic
-    identity that is stable at small gains and makes kappa in [0, 1]
-    manifest.  n_bar = 0 returns 0 by continuity; the expression is
-    degenerate when a transmittance vanishes, so such calls are
-    rejected (use kappa_approx for the zero-transmittance limit).
+    equals 2 expm1(a) expm1(b) / (2 expm1(a) expm1(b) + expm1(c)) with
+    a = eA n/2, b = eB n/2 and c = eA eB n/2.  Dividing by c, with
+    g(t) = expm1(t)/t, gives
+
+        n g(a) g(b) / (n g(a) g(b) + g(c)),
+
+    in which nothing cancels or underflows however small the gain or
+    the transmittances, and kappa in [0, 1] is manifest; n_bar = 0
+    gives 0.  The expression is degenerate when a transmittance
+    vanishes, so such calls are rejected (kappa_approx is the
+    zero-transmittance limit, which small transmittances reach).
     """
     check_range("n_bar", n_bar, 0.0)
     check_range("eta_a", eta_a, 0.0, 1.0, open_lo=True)
     check_range("eta_b", eta_b, 0.0, 1.0, open_lo=True)
-    if n_bar == 0.0:
-        return 0.0
-    num = 2.0 * math.expm1(eta_a * n_bar / 2.0) * math.expm1(eta_b * n_bar / 2.0)
-    return num / (num + math.expm1(eta_a * eta_b * n_bar / 2.0))
+    num = n_bar * _expm1_ratio(eta_a * n_bar / 2.0) * _expm1_ratio(eta_b * n_bar / 2.0)
+    return num / (num + _expm1_ratio(eta_a * eta_b * n_bar / 2.0))
 
 
 def kappa_approx(n_bar: float) -> float:
@@ -147,14 +162,15 @@ def kappa_approx(n_bar: float) -> float:
 def coincidence_rate_exact(n_bar: float, eta_a: float, eta_b: float) -> float:
     """Detected pairs per window: 1 - e^{-eA n} - e^{-eB n} + e^{-(eA+eB-eA eB) n}.
 
-    Grouped as in ``coincidence_probability`` so that it does not cancel at small gains.
+    Grouped as in the module docstring, with x = eA n, y = eB n and
+    z = eA eB n, so that it does not cancel at small gains or
+    transmittances.
     """
     check_range("n_bar", n_bar, 0.0)
     check_range("eta_a", eta_a, 0.0, 1.0)
     check_range("eta_b", eta_b, 0.0, 1.0)
-    return (-math.expm1(-n_bar * eta_b)
-            - math.exp(-n_bar * (eta_a + eta_b - eta_a * eta_b))
-            * math.expm1(n_bar * eta_b * (1.0 - eta_a)))
+    x, y = eta_a * n_bar, eta_b * n_bar
+    return math.expm1(-x) * math.expm1(-y) + math.exp(-(x + y)) * math.expm1(eta_a * y)
 
 
 def effective_state(params: SourceParams, rho_b: np.ndarray) -> np.ndarray:

@@ -7,7 +7,8 @@ literal series summation, and the waveplate check by Jones-matrix
 propagation.  The source-model oracles take the white-noise weight from
 the paper's printed five-term closed form (not the library's expm1
 rewrite), the coincidence rate from the literal series and, where it
-cancels at small gains, from 40-digit decimal arithmetic, the Werner-state
+cancels at small gains or transmittances, from 80-digit decimal
+arithmetic, the Werner-state
 Devetak-Winter rate from their own binary entropy, and the gain optimum
 from a dense grid refined by a bounded scalar search.  None of these
 reuse the closed forms or the optimizer under test.
@@ -219,14 +220,30 @@ def bell_coincidence_rate(n_bar: float, eta_a: float, eta_b: float) -> float:
                               n_bar)
 
 
-def bell_coincidence_rate_decimal(n_bar: float, eta_a: float, eta_b: float) -> float:
-    """1 - e^{-eA n} - e^{-eB n} + e^{-(eA+eB-eA eB) n} in 40-digit decimal arithmetic.
+def coincidence_decimal(p11: float, p10: float, p01: float, n_bar: float) -> float:
+    """1 - e^{-n(p11+p01)} - e^{-n(p11+p10)} + e^{-n(p11+p10+p01)} in 80-digit decimals.
 
-    The inputs convert to decimals exactly, and the four terms cancel to
-    about n eA eB, so at gains down to 1e-7 more than 25 digits survive.
+    The inputs convert to decimals exactly.  The four terms cancel to
+    about n p11 + n^2 (p11+p01)(p11+p10), so while that stays above
+    1e-60 more than 20 digits survive.
     """
     with decimal.localcontext() as ctx:
-        ctx.prec = 40
+        ctx.prec = 80
+        p11, p10, p01, n = (decimal.Decimal(v) for v in (p11, p10, p01, n_bar))
+        rate = (1 - (-n * (p11 + p01)).exp() - (-n * (p11 + p10)).exp()
+                + (-n * (p11 + p10 + p01)).exp())
+        return float(rate)
+
+
+def bell_coincidence_rate_decimal(n_bar: float, eta_a: float, eta_b: float) -> float:
+    """1 - e^{-eA n} - e^{-eB n} + e^{-(eA+eB-eA eB) n} in 80-digit decimal arithmetic.
+
+    The inputs convert to decimals exactly, and the four terms cancel to
+    about n eA eB, so while that stays above 1e-60 more than 20 digits
+    survive.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = 80
         n, ea, eb = (decimal.Decimal(v) for v in (n_bar, eta_a, eta_b))
         rate = 1 - (-ea * n).exp() - (-eb * n).exp() + (-(ea + eb - ea * eb) * n).exp()
         return float(rate)

@@ -285,6 +285,13 @@ class TestOptimize:
     def test_eta_zero_rejected(self):
         assert main(["optimize", "--eta", "0"]) == 2
 
+    @pytest.mark.parametrize("command", ["optimize", "model"])
+    def test_vanishing_transmittance_runs(self, tmp_path, command):
+        # the closed-form noise weight once divided 0 by 0 here
+        out = tmp_path / "out"
+        assert main([command, "--eta", "1e-300", "--out", str(out)]) == 0
+        assert out.stat().st_size > 0
+
 
 class TestBases:
     def test_table_output(self, capsys):

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import helpers
+
 from entqkd import (NoSecurityError, chsh_max, concurrence, critical_gain,
                     devetak_winter_raw, kappa_exact, optimize_gain, qber_min,
                     qd_key_line, qd_reference_state, qd_threshold,
@@ -43,6 +45,16 @@ class TestOptimizeGain:
         assert ratios[0] == pytest.approx(0.03246, abs=1e-5)
         assert ratios[-1] == pytest.approx(0.03030, abs=1e-5)
 
+    def test_vanishing_transmittance_limit(self):
+        # R_opt / eta^2 -> max n (1 + n) r_DW(n / (1 + n)) = 0.032766 as eta -> 0;
+        # at 1e-150 the rate is 3.3e-302 and still a normal double
+        n_ref, limit = helpers.maximize_on_grid(
+            lambda n: n * (1.0 + n) * helpers.werner_devetak_winter(n / (1.0 + n)))
+        opt = optimize_gain(1e-150, 1e-150)
+        assert opt.n_bar_opt == pytest.approx(n_ref, abs=1e-6)
+        assert opt.r_key_opt / 1e-300 == pytest.approx(limit, rel=1e-9)
+        assert limit == pytest.approx(0.032766, abs=1e-6)
+
     def test_asymmetric_arms(self):
         opt = optimize_gain(0.9, 0.3)
         assert opt.r_key_opt == pytest.approx(optimize_gain(0.3, 0.9).r_key_opt, rel=1e-9)
@@ -66,6 +78,10 @@ class TestCriticalGain:
             else:
                 kappa = kappa_exact(n_crit, eta_a, eta_b)
             assert abs(devetak_winter_raw(*s_q_from_kappa(kappa))) < 1e-5
+
+    def test_vanishing_transmittance_reaches_the_limit(self):
+        assert critical_gain(1e-300, 1e-300) == critical_gain(0.0, 0.0)
+        assert critical_gain(1e-160, 1e-200) == critical_gain(0.0, 0.0)
 
     def test_losses_never_extend_security(self):
         limit = critical_gain(0.0, 0.0)

@@ -139,6 +139,26 @@ class TestCoincidenceProbability:
         with pytest.raises(ValueError, match="n_bar must be nonnegative"):
             coincidence_probability(probs, np.array([[0.1], [-1e-3], [0.2]]))
 
+    @pytest.mark.parametrize("eta", [0.16, 1e-4, 1e-6, 1e-8, 1e-12])
+    def test_no_cancellation_at_small_transmittance(self, rng, eta):
+        settings = TomographySettings.canonical()
+        rho = helpers.random_density_matrix(rng)
+        probs = click_probabilities(rho, settings.bloch_a, settings.bloch_b,
+                                    SourceParams(0.0, eta, 0.5 * eta))
+        for n_bar in (1e-3, 0.07, 0.5):
+            got = coincidence_probability(probs, n_bar)
+            exact = [helpers.coincidence_decimal(*row[:3], n_bar) for row in probs]
+            assert np.max(np.abs(got - exact) / exact) <= 1e-14
+
+    def test_vanishing_transmittance_limit(self):
+        # p11 = e^2 q11 and marginals e qa, e qb: c / e^2 -> n^2 qa qb + n q11
+        e, q11, qa, qb = 1e-150, 0.3, 0.45, 0.35
+        p11 = e * e * q11
+        probs = [p11, e * qa - p11, e * qb - p11, 1.0 - e * qa - e * qb + p11]
+        for n_bar in (1e-3, 0.07, 0.5):
+            got = coincidence_probability(probs, n_bar) / (e * e)
+            assert got == pytest.approx(n_bar ** 2 * qa * qb + n_bar * q11, rel=1e-14)
+
     def test_first_order_taylor(self):
         cp = click_probabilities(bell_state("phi+"), H, H, SourceParams(1e-6, 1.0, 1.0))
         c = coincidence_probability(cp, 1e-6)
@@ -162,6 +182,14 @@ class TestKappa:
 
     def test_vanishing_transmittance_limit(self):
         assert kappa_exact(0.1, 1e-6, 1e-6) == pytest.approx(0.1 / 1.1, abs=1e-4)
+        # no underflow: the products of the printed form fall below the
+        # smallest double here, and at eta ~ 1e-170 both vanish
+        for eta in (1e-100, 1e-160, 1e-200, 1e-300, 5e-324):
+            for n_bar in (1e-3, 0.07, 0.5):
+                assert kappa_exact(n_bar, eta, eta) == pytest.approx(kappa_approx(n_bar),
+                                                                     rel=1e-15)
+                assert kappa_exact(n_bar, eta, 1e-100) == pytest.approx(kappa_approx(n_bar),
+                                                                        rel=1e-15)
         # 0.166839 / 1.166839, the noise weight at the critical gain
         assert kappa_approx(0.166839) == pytest.approx(0.1429837, abs=1e-6)
 
@@ -219,6 +247,21 @@ class TestCoincidenceRate:
     def test_no_cancellation_at_small_gain(self, n_bar, eta):
         exact = helpers.bell_coincidence_rate_decimal(n_bar, eta, eta)
         assert abs(coincidence_rate_exact(n_bar, eta, eta) - exact) <= 1e-13 * exact
+
+    @pytest.mark.parametrize("eta_a,eta_b", [(1e-4, 1e-4), (1e-8, 1e-8), (1e-12, 1e-12),
+                                             (1e-8, 0.3), (0.9, 1e-12)])
+    def test_no_cancellation_at_small_transmittance(self, eta_a, eta_b):
+        for n_bar in (1e-3, 0.07, 0.5):
+            exact = helpers.bell_coincidence_rate_decimal(n_bar, eta_a, eta_b)
+            assert abs(coincidence_rate_exact(n_bar, eta_a, eta_b) - exact) <= 1e-14 * exact
+
+    @pytest.mark.parametrize("eta_a,eta_b", [(1e-100, 1e-100), (1e-150, 1e-150),
+                                             (1e-100, 1e-150), (1e-120, 1e-180)])
+    def test_vanishing_transmittance_limit(self, eta_a, eta_b):
+        # r_C / (eA eB) -> E[N^2] = n (1 + n), the second moment of the Poisson pair number
+        for n_bar in (1e-3, 0.07, 0.5):
+            ratio = coincidence_rate_exact(n_bar, eta_a, eta_b) / (eta_a * eta_b)
+            assert ratio == pytest.approx(n_bar * (1.0 + n_bar), rel=1e-14)
 
     def test_arm_symmetry(self):
         assert coincidence_rate_exact(0.3, 0.2, 0.9) == pytest.approx(
