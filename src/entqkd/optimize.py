@@ -40,9 +40,6 @@ CRITICAL_N_BAR_LIMIT = 0.166839
 
 NOISE_MODELS = ("dephasing", "white")
 
-#: Coincidence rates at which the single-pair key lines are tabulated.
-_LINE_R_C_GRID = np.geomspace(1e-6, 0.2, 60)
-
 
 class NoSecurityError(ValueError):
     """Raised when the requested state yields a vanishing Devetak-Winter rate."""
@@ -171,6 +168,7 @@ def comparison_series(rho0: np.ndarray, eta_a: float, eta_b: float,
     white = qd_threshold(0.95, "white")
     peak = optimize_gain(1.0, 1.0)
     bound = R_KEY_MAX_SPDC
+    rc_grid = np.geomspace(1e-6, 0.2, 60)
     return {
         "spdc_ideal": (MODEL_CSV_HEADER, model_curve(1.0, 1.0, n_bar_grid)),
         "spdc_model": (MODEL_CSV_HEADER, tomography.mle_curve(rho0, eta_a, eta_b, n_bar_grid)),
@@ -182,7 +180,7 @@ def comparison_series(rho0: np.ndarray, eta_a: float, eta_b: float,
             (name, r_c, r_key)
             for name, r_dw in (("ideal_single_pair", 1.0), ("dephasing_c95", dephasing.r_dw),
                                ("white_c95", white.r_dw))
-            for r_c, r_key in qd_key_line(r_dw, _LINE_R_C_GRID)]),
+            for r_c, r_key in qd_key_line(r_dw, rc_grid)]),
         "reference_points": ("tau_ns,r_c,S,Q,r_dw,R_key", [
             (row.tau_ns, row.r_c.value, row.s.value, row.q.value, row.r_dw.value,
              row.r_key.value) for row in load_reference_table()]),
