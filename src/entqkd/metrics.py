@@ -14,6 +14,13 @@ with h the binary entropy in bits.  r_DW is clamped at zero and defined
 as zero whenever S fails to violate the classical bound S <= 2, because
 the protocol is only secure for violating S.
 
+T is read from the state's Pauli components (``states._pauli_components``)
+and U is diagonalized with ``eigh``, the eigenvalues clipped to [0, 1],
+as ``states.correlation_analysis`` does for the bases.  Public calls
+validate their state first; the fitted stacks of ``tomography``
+(``mle_curve``, ``monte_carlo_uncertainty``), whose solver returns
+symmetrized unit-trace states, are evaluated as one stack without it.
+
 The protocol also assumes unbiased single-party outcomes (both parties'
 marginals average to zero).  That is a property of the measurement
 statistics rather than of the state, so nothing here checks or enforces
@@ -28,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numeric import check_range
-from .states import correlation_analysis
+from .states import _pauli_components, validate_density_matrix
 
 TSIRELSON = 2.0 * math.sqrt(2.0)
 
@@ -41,15 +48,26 @@ def binary_entropy(q: float) -> float:
     return -q * math.log2(q) - (1.0 - q) * math.log2(1.0 - q)
 
 
+def _evaluate_stack(rhos: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(S, Q, r_DW) arrays of a (B, 4, 4) stack of states, which must be valid already.
+
+    One batched ``eigh`` of every T^T T; every row equals the evaluation
+    of its state alone, bit for bit.
+    """
+    tensors = _pauli_components(rhos)[:, 1:, 1:]
+    lam = np.clip(np.linalg.eigh(tensors.swapaxes(1, 2) @ tensors)[0][:, ::-1], 0.0, 1.0)
+    s = np.minimum(2.0 * np.sqrt(lam[:, 0] + lam[:, 1]), TSIRELSON)
+    q = (1.0 - np.sqrt(lam[:, 0])) / 2.0
+    return s, q, np.array([devetak_winter(*sq) for sq in zip(s.tolist(), q.tolist())])
+
+
 def evaluate_state(rho: np.ndarray) -> tuple[float, float, float]:
     """(S, Q, r_DW) of rho: optimal CHSH value, minimal QBER, Devetak-Winter rate.
 
-    One validation and one correlation analysis serve all three.
+    One validation and one diagonalization of T^T T serve all three.
     """
-    lam = correlation_analysis(rho).eigenvalues
-    s = min(2.0 * math.sqrt(lam[0] + lam[1]), TSIRELSON)
-    q = (1.0 - math.sqrt(lam[0])) / 2.0
-    return s, q, devetak_winter(s, q)
+    s, q, r_dw = _evaluate_stack(validate_density_matrix(rho)[None])
+    return float(s[0]), float(q[0]), float(r_dw[0])
 
 
 def chsh_max(rho: np.ndarray) -> float:

@@ -187,14 +187,18 @@ class CorrelationAnalysis:
 
 
 def _pauli_components(rho: np.ndarray) -> np.ndarray:
-    """Real 4x4 P[mu, nu] = Tr[rho (sigma_mu (x) sigma_nu)], mu, nu over I, x, y, z.
+    """Real P[mu, nu] = Tr[rho (sigma_mu (x) sigma_nu)], mu, nu over I, x, y, z.
 
-    ``rho`` must be Hermitian (the caller validates it).  P[0, 0] is the
+    ``rho`` has shape (..., 4, 4) and must be Hermitian (the caller
+    validates it); the result has shape (..., 4, 4).  P[0, 0] is the
     trace, P[1:, 0] and P[0, 1:] are Alice's and Bob's Bloch vectors, and
-    P[1:, 1:] is the correlation tensor T.
+    P[1:, 1:] is the correlation tensor T.  A stack takes one
+    matrix-vector product per state, so every state's components equal
+    those of the state alone, bit for bit.
     """
-    flat = np.ascontiguousarray(rho, dtype=complex).reshape(16).view(np.float64)
-    return (_PAULI_TABLE_REAL @ flat).reshape(4, 4)
+    lead = np.shape(rho)[:-2]
+    flat = np.ascontiguousarray(rho, dtype=complex).reshape(*lead, 16).view(np.float64)
+    return (_PAULI_TABLE_REAL @ flat[..., None]).reshape(*lead, 4, 4)
 
 
 def _fix_sign(vec: np.ndarray) -> np.ndarray:

@@ -693,8 +693,9 @@ def monte_carlo_uncertainty(ds: TomographyDataset, samples: int, seed: int,
     seed); per-sample generators are spawned from the master seed, so a
     parallel execution would reproduce the same report.
 
-    All resamples are drawn first as one (samples, 36) array; each row
-    is then reconstructed and evaluated, and the coincidence rates and
+    All resamples are drawn first as one (samples, 36) array, and each
+    row is reconstructed by its own ``mle_reconstruct`` call.  The fitted
+    states are then evaluated as one stack, and the coincidence rates and
     key rates of all rows follow in one array step.  Reconstructions
     start from the base dataset's estimate softened with a small
     admixture of the maximally mixed state; any full-rank start reaches
@@ -707,14 +708,12 @@ def monte_carlo_uncertainty(ds: TomographyDataset, samples: int, seed: int,
                           for stream in np.random.SeedSequence(seed).spawn(samples)])
     base_fit = mle_reconstruct(base, ds.settings, **mle_kwargs)
     warm_start = 0.99 * base_fit.rho + 0.01 * np.eye(4, dtype=complex) / 4.0
-    values = np.empty((samples, 4))  # columns S, Q, r_DW, R_key
-    unconverged = 0
-    for row, counts in zip(values, resamples):
-        fit = mle_reconstruct(counts, ds.settings, rho_start=warm_start, **mle_kwargs)
-        row[:3] = metrics.evaluate_state(fit.rho)
-        unconverged += not fit.converged
+    fits = [mle_reconstruct(counts, ds.settings, rho_start=warm_start, **mle_kwargs)
+            for counts in resamples]
+    unconverged = sum(not fit.converged for fit in fits)
+    s, q, r_dw = metrics._evaluate_stack(np.array([fit.rho for fit in fits]))
     r_c = _quadruple_sums(resamples, ds.settings).mean(axis=-1) / ds.n_windows
-    values[:, 3] = values[:, 2] * r_c
+    values = np.column_stack([s, q, r_dw, r_dw * r_c])
     s_mean, q_mean, r_dw_mean, r_key_mean = values.mean(axis=0).tolist()
     s_std, q_std, r_dw_std, r_key_std = values.std(axis=0, ddof=1).tolist()
     return UncertaintyReport(
@@ -740,7 +739,8 @@ def mle_curve(rho0: np.ndarray, eta_a: float, eta_b: float, n_bar_grid) -> list[
     certify at once; the others start from the estimate mixed with a
     little of I/4.
     A point whose fit does not converge raises ``ConvergenceError``, so
-    no uncertified point is returned.
+    no uncertified point is returned.  The fitted states are evaluated
+    as one stack, without validating each again.
     """
     grid = np.asarray(n_bar_grid, dtype=float)
     # NaN and inf get the domain message; zero and negative gains the cause below
@@ -765,10 +765,7 @@ def mle_curve(rho0: np.ndarray, eta_a: float, eta_b: float, n_bar_grid) -> list[
               if not _certified(stop, gap)]
     if failed:
         raise ConvergenceError(*failed[0], unconverged=len(failed))
-    points = []
-    for n_bar, rho in zip(grid.tolist(), rhos):
-        r_c = coincidence_rate_exact(n_bar, eta_a, eta_b)
-        qkd = metrics.QkdMetrics.from_state(rho, r_c)
-        points.append(ModelPoint(n_bar=n_bar, kappa=1.0 - qkd.s / metrics.TSIRELSON,
-                                 s=qkd.s, q=qkd.q, r_dw=qkd.r_dw, r_c=r_c, r_key=qkd.r_key))
-    return points
+    s, q, r_dw = metrics._evaluate_stack(rhos)
+    r_c = np.array([coincidence_rate_exact(n_bar, eta_a, eta_b) for n_bar in grid.tolist()])
+    columns = (grid, 1.0 - s / metrics.TSIRELSON, s, q, r_dw, r_c, r_dw * r_c)
+    return [ModelPoint(*row) for row in np.column_stack(columns).tolist()]

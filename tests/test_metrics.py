@@ -1,10 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
 import helpers
 from entqkd import (MAXIMALLY_MIXED, QkdMetrics, bell_state, binary_entropy,
-                    chsh_max, devetak_winter, devetak_winter_raw, ket_to_dm,
-                    key_rate, qber_min, s_q_from_kappa, werner_mix)
+                    chsh_max, correlation_analysis, devetak_winter, devetak_winter_raw,
+                    evaluate_state, ket_to_dm, key_rate, metrics, qber_min,
+                    s_q_from_kappa, werner_mix)
 from entqkd.metrics import TSIRELSON
 from entqkd.states import POLARIZATION_KETS
 
@@ -73,6 +76,38 @@ class TestPureStateRoundoff:
             assert 0.0 <= qkd.q <= 1e-7
             assert qkd.s == pytest.approx(TSIRELSON, abs=1e-7)
             assert qkd.r_dw == pytest.approx(1.0, abs=1e-5)
+
+
+class TestEvaluateStack:
+    """The stack evaluator behind ``evaluate_state`` and the fitted stacks of tomography."""
+
+    @staticmethod
+    def random_states(rng, count):
+        return [helpers.random_density_matrix(rng, rank=int(rng.integers(1, 5)))
+                for _ in range(count)]
+
+    @pytest.mark.parametrize("count", [0, 1, 300])
+    def test_rows_equal_single_evaluations(self, rng, count):
+        # a single (B, 32) @ (32, 16) product would differ from the single states
+        # by roundoff at a few hundred rows; the stacked matrix-vector product does not
+        rhos = self.random_states(rng, count)
+        got = np.column_stack(metrics._evaluate_stack(np.array(rhos).reshape(count, 4, 4)))
+        want = np.array([evaluate_state(rho) for rho in rhos]).reshape(count, 3)
+        assert got.shape == (count, 3) and np.array_equal(got, want)
+
+    def test_single_state_uses_the_bases_eigenvalues(self, rng):
+        # the figures come from the eigenvalues that correlation_analysis gives the bases
+        for rho in self.random_states(rng, 200):
+            lam = correlation_analysis(rho).eigenvalues
+            s = min(2.0 * math.sqrt(lam[0] + lam[1]), TSIRELSON)
+            q = (1.0 - math.sqrt(lam[0])) / 2.0
+            assert evaluate_state(rho) == (s, q, devetak_winter(s, q))
+
+    def test_single_state_is_validated(self):
+        with pytest.raises(ValueError, match="rho is not Hermitian"):
+            evaluate_state(np.triu(np.ones((4, 4))) / 4.0)
+        with pytest.raises(ValueError, match=r"rho must be a 4x4 matrix, got shape \(1, 4, 4\)"):
+            evaluate_state(np.asarray(MAXIMALLY_MIXED)[None])
 
 
 class TestDevetakWinter:

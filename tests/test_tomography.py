@@ -9,11 +9,11 @@ import helpers
 from entqkd import (SourceParams, TomographyDataset, TomographySettings,
                     bell_state, chsh_max, coincidence_rate_exact,
                     coincidence_rate_from_counts, fidelity, fit_kappa,
-                    evaluate_state, kappa_exact, mle_curve, mle_reconstruct,
+                    evaluate_state, kappa_exact, metrics, mle_curve, mle_reconstruct,
                     monte_carlo_uncertainty, synthesize_frequencies, tomography,
                     werner_mix)
 from entqkd.metrics import TSIRELSON
-from entqkd.states import POLARIZATION_KETS
+from entqkd.states import POLARIZATION_KETS, validate_density_matrix
 
 SETTINGS = TomographySettings.canonical()
 PHI_PLUS = bell_state("phi+")
@@ -280,6 +280,28 @@ class TestMleCurve:
             same = iterations == np.array([fit.iterations for fit in cold])
             assert np.mean(same) >= 0.9
 
+    def test_points_are_the_evaluations_of_their_fitted_states(self, rng, monkeypatch):
+        # one evaluation of the whole fitted stack, with no per-point evaluation;
+        # every row of the stack is a valid state, which the solver guarantees
+        # and the evaluator no longer checks
+        stacks = one_stack_evaluations(monkeypatch)
+        local = np.kron(random_unitary(rng, 2), random_unitary(rng, 2))
+        rho0 = 0.98 * local @ dephased_phi_plus(0.97) @ local.conj().T + 0.02 * MIXED
+        eta_a, eta_b = 0.9, 0.8
+        grid = np.geomspace(1e-3, 0.6, 24)
+        points = mle_curve(rho0, eta_a, eta_b, grid)
+        monkeypatch.undo()
+        assert len(stacks) == 1 and stacks[0].shape == (24, 4, 4)
+        for pt, rho in zip(points, stacks[0]):
+            assert (pt.s, pt.q, pt.r_dw) == evaluate_state(rho)
+            assert pt.kappa == 1.0 - pt.s / TSIRELSON
+            assert pt.r_c == coincidence_rate_exact(pt.n_bar, eta_a, eta_b)
+            assert pt.r_key == pt.r_dw * pt.r_c
+            assert pt.r_dw == 0.0 or pt.s > 2.0
+        # the grid reaches both secure points and points without any violation
+        assert min(pt.s for pt in points) <= 2.0 < max(pt.s for pt in points)
+        assert max(pt.r_dw for pt in points) > 0.0
+
     def test_repeatable(self):
         rho0 = werner_mix(PHI_PLUS, 0.05)
         grid = np.geomspace(1e-3, 0.1, 12)
@@ -319,6 +341,27 @@ class TestMleCurve:
         # every coincidence probability of the smallest positive gain underflows to 0
         with pytest.raises(ValueError, match="frequencies must not be all zero"):
             mle_curve(PHI_PLUS, 0.5, 0.5, [0.1, 5e-324])
+
+
+def one_stack_evaluations(monkeypatch) -> list:
+    """Record every stack ``metrics._evaluate_stack`` gets, after checking each row is a
+    valid state, and fail any evaluation of a single state."""
+    stacks = []
+    real = metrics._evaluate_stack
+
+    def recorded(rhos):
+        for rho in rhos:
+            validate_density_matrix(rho)
+        stacks.append(rhos.copy())
+        return real(rhos)
+
+    def per_state(*args, **kwargs):
+        raise AssertionError("a single state was evaluated")
+
+    monkeypatch.setattr(metrics, "_evaluate_stack", recorded)
+    monkeypatch.setattr(metrics, "evaluate_state", per_state)
+    monkeypatch.setattr(metrics.QkdMetrics, "from_state", per_state)
+    return stacks
 
 
 def random_unitary(rng, dim=4):
@@ -750,6 +793,22 @@ class TestMonteCarlo:
         assert report.unconverged == unconverged
         if mle_kwargs:  # the cap falls inside the spread of iteration counts
             assert 0 < unconverged < samples
+
+    def test_fits_are_evaluated_as_one_stack(self, dataset, monkeypatch):
+        # one mle_reconstruct call per sample plus the base fit, then one evaluation
+        # of the sampled fits, every row a valid state
+        fits = []
+        real = tomography.mle_reconstruct
+
+        def recorded(frequencies, settings, **kwargs):
+            fits.append(real(frequencies, settings, **kwargs))
+            return fits[-1]
+
+        monkeypatch.setattr(tomography, "mle_reconstruct", recorded)
+        stacks = one_stack_evaluations(monkeypatch)
+        monte_carlo_uncertainty(dataset, 12, 3)
+        assert len(fits) == 13 and len(stacks) == 1
+        assert np.array_equal(stacks[0], [fit.rho for fit in fits[1:]])
 
     def test_unconverged_samples_are_counted_and_kept(self, dataset):
         report = monte_carlo_uncertainty(dataset, 4, 0, max_iterations=1)
