@@ -729,12 +729,13 @@ def mle_curve(rho0: np.ndarray, eta_a: float, eta_b: float, n_bar_grid) -> list[
     from the achieved S, 1 - S / (2 sqrt(2)); for mixture-family states
     this coincides with the mixing weight.
 
-    Every grid value must be positive and finite: a zero gain gives no
-    coincidences to reconstruct from.  The frequencies of all grid
-    points come from one array evaluation of the source model, and all
-    points are fitted as one stack, each from its own projected
-    linear-inversion estimate to the default certified gap, so each
-    point is independent of the rest of the grid.  Synthesized
+    ``n_bar_grid`` must be one-dimensional, and every grid value
+    positive and finite: a zero gain gives no coincidences to
+    reconstruct from.  The frequencies of all grid points come from one
+    array evaluation of the source model, and all points are fitted as
+    one stack, each from its own projected linear-inversion estimate to
+    the default certified gap, so each point is independent of the rest
+    of the grid.  Synthesized
     frequencies that a state reproduces start at their maximizer and
     certify at once; the others start from the estimate mixed with a
     little of I/4.
@@ -743,6 +744,8 @@ def mle_curve(rho0: np.ndarray, eta_a: float, eta_b: float, n_bar_grid) -> list[
     as one stack, without validating each again.
     """
     grid = np.asarray(n_bar_grid, dtype=float)
+    if grid.ndim != 1:
+        raise ValueError(f"n_bar_grid must be one-dimensional, got shape {grid.shape}")
     # NaN and inf get the domain message; zero and negative gains the cause below
     check_range("n_bar", grid[~np.isfinite(grid)], 0.0, open_lo=True)
     bad = grid[~(grid > 0.0)]

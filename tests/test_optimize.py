@@ -7,7 +7,8 @@ from entqkd import (NoSecurityError, chsh_max, concurrence, critical_gain,
                     devetak_winter_raw, kappa_exact, optimize_gain, qber_min,
                     qd_key_line, qd_reference_state, qd_threshold,
                     s_q_from_kappa)
-from entqkd.optimize import R_KEY_MAX_SPDC
+from entqkd.numeric import golden_section_max
+from entqkd.optimize import CRITICAL_N_BAR_LIMIT, R_KEY_MAX_SPDC
 from entqkd.spdc import _model_point
 
 
@@ -54,6 +55,27 @@ class TestOptimizeGain:
         assert opt.n_bar_opt == pytest.approx(n_ref, abs=1e-6)
         assert opt.r_key_opt / 1e-300 == pytest.approx(limit, rel=1e-9)
         assert limit == pytest.approx(0.032766, abs=1e-6)
+
+    @pytest.mark.parametrize("eta", [1e-160, 1e-300])
+    def test_optimum_where_the_rate_underflows(self, eta):
+        # R_key is subnormal at 1e-160 and 0.0 at 1e-300, but the search on
+        # R_key / (eta_A eta_B) still finds the eta -> 0 optimum of 1e-150
+        opt = optimize_gain(eta, eta)
+        assert opt.n_bar_opt == optimize_gain(1e-150, 1e-150).n_bar_opt
+        assert opt.n_bar_opt == pytest.approx(0.0772693, abs=1e-7)
+        assert opt.r_key_opt == _model_point(opt.n_bar_opt, eta, eta).r_key
+        assert (opt.r_key_opt == 0.0) == (eta == 1e-300)
+
+    @pytest.mark.parametrize("etas", [(1.0, 1.0), (0.5, 0.5), (0.16, 0.16), (0.9, 0.3),
+                                      (0.3, 0.9), (1e-150, 1e-150)])
+    def test_same_optimum_as_a_search_on_the_rate(self, etas):
+        # where R_key is a normal double, dividing it by eta_A eta_B moves no step
+        # of the search
+        n_opt = golden_section_max(lambda n: _model_point(n, *etas).r_key,
+                                   1e-9, CRITICAL_N_BAR_LIMIT, tol=1e-7)
+        opt = optimize_gain(*etas)
+        assert opt.n_bar_opt == n_opt
+        assert opt.r_key_opt == _model_point(n_opt, *etas).r_key
 
     def test_asymmetric_arms(self):
         opt = optimize_gain(0.9, 0.3)

@@ -302,6 +302,13 @@ class TestMleCurve:
         assert min(pt.s for pt in points) <= 2.0 < max(pt.s for pt in points)
         assert max(pt.r_dw for pt in points) > 0.0
 
+    @pytest.mark.parametrize("grid,shape", [(0.1, r"\(\)"), ([[0.01, 0.1]], r"\(1, 2\)")],
+                             ids=["scalar", "2d"])
+    def test_rejects_grid_that_is_not_one_dimensional(self, grid, shape):
+        with pytest.raises(ValueError,
+                           match=rf"^n_bar_grid must be one-dimensional, got shape {shape}$"):
+            mle_curve(PHI_PLUS, 0.5, 0.5, grid)
+
     def test_repeatable(self):
         rho0 = werner_mix(PHI_PLUS, 0.05)
         grid = np.geomspace(1e-3, 0.1, 12)
@@ -777,9 +784,12 @@ class TestMonteCarlo:
             return result
 
         monkeypatch.setattr(tomography, "mle_reconstruct", recorded)
+        stacks = one_stack_evaluations(monkeypatch)
         samples = 30
         report = monte_carlo_uncertainty(dataset, samples, 5, **mle_kwargs)
         assert len(fits) == samples + 1 and np.array_equal(fits[0][0], dataset.counts)
+        # the sampled fits are evaluated once, as one stack of valid states
+        assert len(stacks) == 1 and np.array_equal(stacks[0], [fit.rho for _, fit in fits[1:]])
         columns = []
         for counts, fit in fits[1:]:
             s, q, r_dw = helpers.state_figures(fit.rho)
@@ -793,22 +803,6 @@ class TestMonteCarlo:
         assert report.unconverged == unconverged
         if mle_kwargs:  # the cap falls inside the spread of iteration counts
             assert 0 < unconverged < samples
-
-    def test_fits_are_evaluated_as_one_stack(self, dataset, monkeypatch):
-        # one mle_reconstruct call per sample plus the base fit, then one evaluation
-        # of the sampled fits, every row a valid state
-        fits = []
-        real = tomography.mle_reconstruct
-
-        def recorded(frequencies, settings, **kwargs):
-            fits.append(real(frequencies, settings, **kwargs))
-            return fits[-1]
-
-        monkeypatch.setattr(tomography, "mle_reconstruct", recorded)
-        stacks = one_stack_evaluations(monkeypatch)
-        monte_carlo_uncertainty(dataset, 12, 3)
-        assert len(fits) == 13 and len(stacks) == 1
-        assert np.array_equal(stacks[0], [fit.rho for fit in fits[1:]])
 
     def test_unconverged_samples_are_counted_and_kept(self, dataset):
         report = monte_carlo_uncertainty(dataset, 4, 0, max_iterations=1)
