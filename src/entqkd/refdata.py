@@ -84,7 +84,9 @@ def _rows_from_obj(obj: dict) -> list[ReferenceRow]:
 def load_reference_table(path=None) -> list[ReferenceRow]:
     """Load the bundled table, or a table file of the same schema."""
     if path is None:
-        text = resources.files("entqkd.data").joinpath(_BUNDLED).read_text(encoding="utf-8")
+        # data/ is a directory of the package, not a package: resources.files of it
+        # as a namespace package fails when entqkd is imported from a zip file
+        text = (resources.files("entqkd") / "data" / _BUNDLED).read_text(encoding="utf-8")
         return _rows_from_obj(json.loads(text))
     with open(path, encoding="utf-8") as fh:
         return _rows_from_obj(json.load(fh))

@@ -26,6 +26,12 @@ first step.  Every other estimate, which is every one of noisy counts,
 is mixed with a little of I/4, so every setting starts with a positive
 probability (Smolin, Gambetta & Smith, PRL 108, 070502, 2012).
 
+A pipeline gain curve (``mle_curve``) first takes full Newton steps in
+the traceless Pauli coordinates of the state on every point whose start
+is not certified.  A point whose optimum is interior, as for full-rank
+source states, certifies in two or three of them and the ascent stops
+it before its first iteration; every other point keeps its start.
+
 Monte-Carlo uncertainty resamples every observed count as Poisson with
 the observed value as mean.  Per-sample generators are spawned from a
 single master seed, so results are reproducible and independent of any
@@ -44,8 +50,8 @@ from . import metrics
 from .numeric import check_range, golden_section_max
 from .spdc import (ModelPoint, SourceParams, click_probabilities, coincidence_probability,
                    coincidence_rate_exact)
-from .states import (POLARIZATION_BLOCH, POLARIZATION_KETS, ket_to_dm,
-                     validate_density_matrix)
+from .states import (_PAULI_TABLE_REAL, POLARIZATION_BLOCH, POLARIZATION_KETS,
+                     _pauli_components, ket_to_dm, validate_density_matrix)
 
 PROJECTION_LABELS = ("H", "V", "D", "A", "R", "L")
 
@@ -67,6 +73,9 @@ _START_MIX = 1e-3
 #: the roundoff of a Born product of a unit-trace state (32 terms of size <= 1), so the
 #: solver's own product of the start is positive too
 _BORN_ROUNDOFF = 1e-13
+#: full Newton steps ``_interior_newton`` takes at most; from the starts of a gain
+#: curve an interior optimum certifies in 2 or 3
+_NEWTON_STEPS = 5
 _EYE4 = np.eye(4)
 _RANKS = np.arange(1, 5)
 
@@ -104,11 +113,20 @@ class TomographySettings:
         # least-squares inverse of that map: (f @ linear_inversion).view(complex) is
         # the flattened Hermitian M whose probabilities are nearest to f
         linear_inversion = np.ascontiguousarray(np.linalg.pinv(projectors_real).T)
-        for arr in (projectors, projectors_real, linear_inversion, bloch_a, bloch_b, groups):
+        # p = 1/4 + _pauli_design @ x for the 15 traceless Pauli coordinates x of a
+        # unit-trace state, x[mu, nu] = Tr[rho (sigma_mu (x) sigma_nu)] without (I, I):
+        # row k is (1, bloch_a[k]) (x) (1, bloch_b[k]) / 4 without its first entry
+        ones = np.ones((36, 1))
+        pauli_design = np.ascontiguousarray(np.einsum(
+            "km,kn->kmn", np.hstack([ones, bloch_a]), np.hstack([ones, bloch_b])
+        ).reshape(36, 16)[:, 1:] / 4.0)
+        for arr in (projectors, projectors_real, linear_inversion, pauli_design, bloch_a,
+                    bloch_b, groups):
             arr.flags.writeable = False
         object.__setattr__(self, "projectors", projectors)
         object.__setattr__(self, "projectors_real", projectors_real)
         object.__setattr__(self, "linear_inversion", linear_inversion)
+        object.__setattr__(self, "_pauli_design", pauli_design)
         object.__setattr__(self, "bloch_a", bloch_a)
         object.__setattr__(self, "bloch_b", bloch_b)
         object.__setattr__(self, "group_index", groups)
@@ -375,6 +393,16 @@ def _accelerated_ascent(projectors_real, c, rho, max_iterations, on_iteration=No
     return rho, ll, gap, iterations, stop
 
 
+def _born_rows(projectors_real, mats: np.ndarray) -> np.ndarray:
+    """Tr[Pi_k M] for a (B, 4, 4) stack of Hermitian M, as one real product, shape (B, 36)."""
+    return mats.reshape(-1, 16).view(np.float64) @ projectors_real.T
+
+
+def _ratio_operators(projectors_real, w: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """R = sum_k (w_k / p_k) Pi_k for every row of (B, 36) weights and probabilities."""
+    return ((w / p) @ projectors_real).view(complex).reshape(-1, 4, 4)
+
+
 def _simplex_kept_rows(vals: np.ndarray) -> np.ndarray:
     """How many of each row's ascending eigenvalues, shape (B, 4), the simplex keeps.
 
@@ -437,7 +465,7 @@ def _start_states(settings: TomographySettings, w: np.ndarray) -> np.ndarray:
     estimate = (f @ settings.linear_inversion).view(complex).reshape(-1, 4, 4)
     starts = _EYE4 / 4.0 + _projected_steps(_EYE4 / 4.0, estimate - _EYE4 / 4.0)
     starts = (starts + starts.conj().swapaxes(1, 2)) / 2.0
-    p = starts.reshape(-1, 16).view(np.float64) @ settings.projectors_real.T
+    p = _born_rows(settings.projectors_real, starts)
     # the rows whose estimate is certified already: every observed probability
     # above roundoff, and the gap of the normalized weights, lambda_max(R) - 1,
     # at most _TOL, taken on the weights as given
@@ -448,6 +476,90 @@ def _start_states(settings: TomographySettings, w: np.ndarray) -> np.ndarray:
     keeps[keeps] = np.linalg.eigvalsh(r_op)[:, -1] <= (1.0 + _TOL) * c.sum(axis=1)
     starts[~keeps] = (1.0 - _START_MIX) * starts[~keeps] + _START_MIX / 4.0 * _EYE4
     return starts
+
+
+def _solve_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with a[i] x[i] = b[i] for a (B, n, n) stack; NaN rows where a[i] is singular.
+
+    One singular matrix makes the stacked solve raise for every row, so
+    then each row is solved alone.
+    """
+    try:
+        return np.linalg.solve(a, b[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        out = np.full(b.shape, np.nan)
+        for i, (a_i, b_i) in enumerate(zip(a, b)):
+            try:
+                out[i] = np.linalg.solve(a_i, b_i)
+            except np.linalg.LinAlgError:
+                pass
+        return out
+
+
+def _interior_newton(settings: TomographySettings, w: np.ndarray,
+                     starts: np.ndarray) -> np.ndarray:
+    """Certify fits whose optimum is interior by full Newton steps, shape (B, 4, 4).
+
+    ``w`` is a (B, 36) stack of normalized weights and ``starts`` the
+    states ``_accelerated_ascent_batch`` would start them from.  A row
+    takes steps only if its start is not certified already.  The steps
+    work on the 15 traceless Pauli coordinates x of the state, whose
+    probabilities are p = 1/4 + D x with D = ``settings._pauli_design``,
+    so the trace stays 1 without a multiplier.  Each step is a full
+    Newton step of sum_k w_k log p_k, (D^T diag(w / p^2) D) dx =
+    D^T (w / p), without a line search.  A row keeps a step only if the
+    new state is positive definite, every setting of positive weight
+    keeps a positive probability and the certified gap lambda_max(R) - 1
+    falls; the gap comes from the ascent's own Born product of the state
+    scaled to unit trace, so the ascent reads the same gap.  A row leaves
+    at the first step it cannot keep (a singular Hessian and a step that
+    is not finite are such steps), when its gap reaches ``_TOL``, or
+    after ``_NEWTON_STEPS`` steps.  A row that reached ``_TOL`` comes
+    back as its Newton state, at which the ascent stops before its first
+    iteration; every other row comes back as its start, bit for bit, and
+    the ascent fits it as it would without this phase.  Steps toward an
+    optimum on the boundary, where the state loses rank, soon leave the
+    positive definite states, so those fits are left to the ascent.
+    """
+    out = starts.copy()
+    design, projectors_real = settings._pauli_design, settings.projectors_real
+    rho = starts / np.trace(starts, axis1=1, axis2=2).real[:, None, None]
+    # the probabilities of unobserved settings are held at +inf, as in the ascent
+    unobserved = np.where(w > 0.0, 0.0, np.inf)
+    p = _born_rows(projectors_real, rho) + unobserved
+    gap = np.linalg.eigvalsh(_ratio_operators(projectors_real, w, p))[:, -1] - 1.0
+    rows = np.flatnonzero(gap > _TOL)
+    w, unobserved, p, gap = w[rows], unobserved[rows], p[rows], gap[rows]
+    x = _pauli_components(rho[rows]).reshape(-1, 16)[:, 1:]
+    # a step off the likelihood's domain overflows or yields nan, which every test
+    # below refuses
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for _ in range(_NEWTON_STEPS):
+            if not rows.size:
+                break
+            ratio = w / p
+            x_new = x + _solve_rows((design.T * (ratio / p)[:, None, :]) @ design,
+                                    ratio @ design)
+            # every Pauli coordinate of a state lies in [-1, 1]; a row outside stays at x,
+            # so every later test sees finite, bounded states
+            keep = (np.abs(x_new) <= 1.0).all(axis=1)
+            x_new[~keep] = x[~keep]
+            cand = ((_PAULI_TABLE_REAL[0] + x_new @ _PAULI_TABLE_REAL[1:]) / 4.0
+                    ).view(complex).reshape(-1, 4, 4)
+            scaled = cand / np.trace(cand, axis1=1, axis2=2).real[:, None, None]
+            p_new = _born_rows(projectors_real, scaled) + unobserved
+            keep &= (np.linalg.eigvalsh(scaled)[:, 0] > 0.0) & (p_new.min(axis=1) > 0.0)
+            r_op = _ratio_operators(projectors_real, w, np.where(keep[:, None], p_new, 1.0))
+            keep &= np.isfinite(r_op).all(axis=(1, 2))
+            r_op[~keep] = _EYE4
+            gap_new = np.linalg.eigvalsh(r_op)[:, -1] - 1.0
+            keep &= gap_new < gap
+            done = keep & (gap_new <= _TOL)
+            out[rows[done]] = cand[done]
+            go = keep & ~done
+            rows, w, unobserved = rows[go], w[go], unobserved[go]
+            x, p, gap = x_new[go], p_new[go], gap_new[go]
+    return out
 
 
 def _accelerated_ascent_batch(projectors_real, c, rho, max_iterations):
@@ -480,14 +592,8 @@ def _accelerated_ascent_batch(projectors_real, c, rho, max_iterations):
     gap_out = np.empty(count)
     iterations_out = np.empty(count, dtype=int)
     stop_out = np.empty(count, dtype="<U5")
-    to_born = projectors_real.T
-
-    def born(mats):
-        # Tr[Pi_k M] for a stack of Hermitian M, as one real product
-        return mats.reshape(-1, 16).view(np.float64) @ to_born
-
-    def gradient(w, p):
-        return ((w / p) @ projectors_real).view(complex).reshape(-1, 4, 4)
+    born = functools.partial(_born_rows, projectors_real)
+    gradient = functools.partial(_ratio_operators, projectors_real)
 
     def row_dot(w, values):
         return np.einsum("bk,bk->b", w, values)
@@ -616,8 +722,8 @@ def mle_reconstruct(frequencies, settings: TomographySettings, *,
         Starting state.  It must give every setting with a nonzero
         frequency a positive probability.  The default is the projected
         linear-inversion estimate of the frequencies, mixed with 0.1 % of
-        I/4 unless it is certified already; it is the start ``mle_curve``
-        gives each of its points.  Exact frequencies of a state start at
+        I/4 unless it is certified already; ``mle_curve`` takes its Newton
+        steps from the same start.  Exact frequencies of a state start at
         their maximizer and certify at 0 iterations.
     on_iteration : callable, optional
         Called as ``on_iteration(iteration, log_likelihood)`` after every
@@ -735,13 +841,15 @@ def mle_curve(rho0: np.ndarray, eta_a: float, eta_b: float, n_bar_grid) -> list[
     array evaluation of the source model, and all points are fitted as
     one stack, each from its own projected linear-inversion estimate to
     the default certified gap, so each point is independent of the rest
-    of the grid.  Synthesized
-    frequencies that a state reproduces start at their maximizer and
-    certify at once; the others start from the estimate mixed with a
-    little of I/4.
-    A point whose fit does not converge raises ``ConvergenceError``, so
-    no uncertified point is returned.  The fitted states are evaluated
-    as one stack, without validating each again.
+    of the grid.  Synthesized frequencies that a state reproduces start
+    at their maximizer and certify at once; the others start from the
+    estimate mixed with a little of I/4.  From there, batched full
+    Newton steps (``_interior_newton``) certify the points whose optimum
+    is interior, and the ascent stops those at 0 iterations; the ascent
+    fits every other point from its start.  A point whose fit does not
+    converge raises ``ConvergenceError``, so no uncertified point is
+    returned.  The fitted states are evaluated as one stack, without
+    validating each again.
     """
     grid = np.asarray(n_bar_grid, dtype=float)
     if grid.ndim != 1:
@@ -761,8 +869,9 @@ def mle_curve(rho0: np.ndarray, eta_a: float, eta_b: float, n_bar_grid) -> list[
     if not np.all(totals > 0.0):
         raise ValueError("frequencies must not be all zero")
     weights = frequencies / totals
+    starts = _interior_newton(settings, weights, _start_states(settings, weights))
     rhos, gaps, _, stops = _accelerated_ascent_batch(
-        settings.projectors_real, weights, _start_states(settings, weights), _MAX_ITERATIONS)
+        settings.projectors_real, weights, starts, _MAX_ITERATIONS)
     failed = [(n_bar, gap, stop)
               for n_bar, gap, stop in zip(grid.tolist(), gaps.tolist(), stops.tolist())
               if not _certified(stop, gap)]

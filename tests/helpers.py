@@ -140,18 +140,49 @@ def likelihood_gap(frequencies, rho: np.ndarray) -> float:
     row-major H, V, D, A, R, L order; the gap bounds the log-likelihood
     per count that any state could still add (Glancy, Knill & Girard 2012).
     """
-    s2 = 1.0 / math.sqrt(2.0)
-    kets = [np.array(v, dtype=complex) for v in
-            ([1, 0], [0, 1], [s2, s2], [s2, -s2], [s2, 1j * s2], [s2, -1j * s2])]
     c = np.asarray(frequencies, dtype=float)
     c = c / c.sum()
     r_op = np.zeros((4, 4), dtype=complex)
-    for k, (a, b) in enumerate((a, b) for a in kets for b in kets):
-        if c[k] > 0.0:
-            ket = np.kron(a, b)
-            proj = np.outer(ket, ket.conj())
-            r_op += c[k] / np.trace(rho @ proj).real * proj
+    for c_k, proj in zip(c, _canonical_projectors()):
+        if c_k > 0.0:
+            r_op += c_k / np.trace(rho @ proj).real * proj
     return float(np.linalg.eigvalsh(r_op)[-1] - 1.0)
+
+
+def _canonical_projectors() -> list:
+    """The 36 product projectors in the row-major H, V, D, A, R, L order, from kets."""
+    s2 = 1.0 / math.sqrt(2.0)
+    kets = [np.array(v, dtype=complex) for v in
+            ([1, 0], [0, 1], [s2, s2], [s2, -s2], [s2, 1j * s2], [s2, -1j * s2])]
+    products = [np.kron(a, b) for a in kets for b in kets]
+    return [np.outer(ket, ket.conj()) for ket in products]
+
+
+def newton_step(frequencies, rho: np.ndarray) -> np.ndarray:
+    """rho after one full Newton step of sum_k c_k log Tr[rho Pi_k] at unit trace.
+
+    c is normalized and the sum runs over the settings with counts.  The
+    step is taken in the coordinates of 15 traceless Hermitian matrices
+    built from matrix units, not Pauli products: a full Newton step does
+    not depend on the affine coordinates it is taken in.
+    """
+    basis = []
+    for i in range(4):
+        for j in range(i + 1, 4):
+            unit = np.zeros((4, 4), dtype=complex)
+            unit[i, j] = 1.0
+            basis += [unit + unit.T, 1j * unit - 1j * unit.T]
+    for i in range(3):
+        basis.append(np.diag([1.0 if k == i else -1.0 if k == 3 else 0.0
+                              for k in range(4)]).astype(complex))
+    c = np.asarray(frequencies, dtype=float)
+    c = c / c.sum()
+    projectors = [proj for c_k, proj in zip(c, _canonical_projectors()) if c_k > 0.0]
+    c = c[c > 0.0]
+    p = np.array([np.trace(rho @ proj).real for proj in projectors])
+    a = np.array([[np.trace(b @ proj).real for b in basis] for proj in projectors])
+    step = np.linalg.solve(a.T @ np.diag(c / p ** 2) @ a, a.T @ (c / p))
+    return rho + sum(coef * b for coef, b in zip(step, basis))
 
 
 def project_onto_density_matrices(h: np.ndarray) -> np.ndarray:

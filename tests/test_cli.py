@@ -29,6 +29,7 @@ def unequal_marginals_rho0_file(path):
 
     Its linear-inversion estimate does not fit them, so a fit of them
     starts a gap of about 1e-5 away from its optimum at n_bar = 1e-3.
+    That optimum is interior, so Newton steps certify it unless disabled.
     """
     ket = np.array([math.cos(0.5), 0.0, 0.0, math.sin(0.5)], dtype=complex)
     biased = np.kron(np.diag([1.0, 0.0]), np.eye(2) / 2.0)
@@ -224,6 +225,8 @@ class TestModel:
 
     def test_rho0_pipeline_unconverged_exits_3(self, tmp_path, monkeypatch, capsys):
         import entqkd.cli as cli
+        # no Newton step and no backtracking: the ascent stops on the floor
+        monkeypatch.setattr(cli.tomography, "_NEWTON_STEPS", 0)
         monkeypatch.setattr(cli.tomography, "_MAX_HALVINGS", 0)
         rho_path = unequal_marginals_rho0_file(tmp_path / "rho0.json")
         out = tmp_path / "curve.csv"
@@ -348,6 +351,8 @@ class TestCompare:
 
     def test_unconverged_curve_exits_3_without_output(self, tmp_path, monkeypatch, capsys):
         import entqkd.cli as cli
+        # no Newton step and no backtracking: the ascent stops on the floor
+        monkeypatch.setattr(cli.tomography, "_NEWTON_STEPS", 0)
         monkeypatch.setattr(cli.tomography, "_MAX_HALVINGS", 0)
         rho_path = unequal_marginals_rho0_file(tmp_path / "rho0.json")
         out_dir = tmp_path / "cmp"

@@ -26,7 +26,7 @@ from entqkd import (SourceParams, TomographySettings, bell_state, correlation_an
                     tomography, verify_bases, waveplate_angles)
 from entqkd.bases import ORDERINGS
 from entqkd.metrics import TSIRELSON
-from entqkd.states import POLARIZATION_KETS
+from entqkd.states import POLARIZATION_KETS, validate_density_matrix
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=200, database=None)
 #: each example runs three fits, so fewer of them
@@ -88,6 +88,20 @@ def weight_stacks(draw):
             row = np.maximum(SETTINGS.born_probabilities(np.outer(ket, ket.conj())), 0.0)
         rows.append(row * 10.0 ** draw(st.integers(-200, 200)))
     return np.array(rows)
+
+
+@st.composite
+def newton_stacks(draw):
+    """``weight_stacks`` rows, then the Born weights of a state of rank 1 to 4 with up to
+    six settings zeroed, and its model frequencies at unequal transmittances."""
+    rho = draw(mixed_states())
+    born = np.maximum(SETTINGS.born_probabilities(rho), 0.0)
+    born[list(draw(st.sets(st.integers(0, 35), max_size=6)))] = 0.0
+    params = SourceParams(draw(st.sampled_from([1e-4, 1e-2, 0.1])), draw(st.floats(0.05, 1.0)),
+                          draw(st.floats(0.05, 1.0)))
+    rows = np.array([*draw(weight_stacks()), born, synthesize_frequencies(rho, params, SETTINGS)])
+    rows = rows[rows.sum(axis=1) > 0.0]
+    return rows / rows.sum(axis=1, keepdims=True)
 
 
 @st.composite
@@ -190,6 +204,21 @@ def test_start_states_are_interior_density_matrices(w):
         observed = row_w > 0.0
         floor = np.minimum(row_w[observed] / row_w.sum(), tomography._START_MIX / 4.0)
         assert np.all(SETTINGS.born_probabilities(start)[observed] >= 0.99 * floor)
+
+
+@PROPERTY
+@given(w=newton_stacks())
+def test_newton_phase_certifies_or_keeps_the_start(w):
+    # zero weights can make a Hessian singular or a step leave the domain; the
+    # phase never raises for that, and a row it changes is a certified state
+    starts = tomography._start_states(SETTINGS, w)
+    out = tomography._interior_newton(SETTINGS, w, starts)
+    assert out.shape == starts.shape
+    for start, rho, row_w in zip(starts, out, w):
+        if not np.array_equal(rho, start):
+            validate_density_matrix(rho)
+            assert np.linalg.eigvalsh(rho)[0] > 0.0
+            assert helpers.likelihood_gap(row_w, rho) <= 1e-10 + helpers.GAP_ROUNDOFF
 
 
 @PROPERTY

@@ -71,6 +71,17 @@ class TestSettings:
         reordered = TomographySettings(tuple(reversed(SETTINGS.pairs)))
         assert set(reordered.pairs) == set(SETTINGS.pairs)
 
+    def test_pauli_design_maps_coordinates_to_probabilities(self, rng):
+        # p = 1/4 + D x, x the 15 traceless Pauli coordinates Tr[rho sigma_mu (x) sigma_nu]
+        # taken from explicit Kronecker products, in either settings order
+        paulis = [np.eye(2), *helpers.PAULIS]
+        rho = helpers.random_density_matrix(rng)
+        x = np.array([np.trace(rho @ np.kron(a, b)).real for a in paulis for b in paulis])[1:]
+        for settings in (SETTINGS, TomographySettings(tuple(reversed(SETTINGS.pairs)))):
+            assert not settings._pauli_design.flags.writeable
+            assert np.max(np.abs(0.25 + settings._pauli_design @ x
+                                 - settings.born_probabilities(rho))) <= 1e-15
+
 
 class TestSynthesizeFrequencies:
     def test_bell_symmetry(self):
@@ -240,15 +251,21 @@ class TestCertificate:
 class TestMleCurve:
     """The batched pipeline curve against scalar cold fits of each grid point."""
 
-    @pytest.mark.parametrize("case", ["compare_default", "rank_deficient"])
-    def test_matches_cold_fits(self, case, monkeypatch):
+    @pytest.mark.parametrize("case", ["compare_default", "rank_deficient", "mixed"])
+    def test_matches_cold_fits(self, case, rng, monkeypatch):
+        # the mixed curve's optima are interior: Newton steps certify every point
+        # before the ascent, which then takes no iteration
         import entqkd.tomography as tomo
         if case == "compare_default":
             rho0 = werner_mix(PHI_PLUS, 1.0 - 2.815 / TSIRELSON)
             eta_a = eta_b = 0.16
             grid = np.geomspace(1e-4, 0.2, 80)
-        else:
+        elif case == "rank_deficient":
             rho0 = dephased_phi_plus(0.9)
+            eta_a, eta_b = 0.8, 0.3
+            grid = np.geomspace(1e-3, 0.15, 40)
+        else:
+            rho0 = mixed_entangled_state(rng)
             eta_a, eta_b = 0.8, 0.3
             grid = np.geomspace(1e-3, 0.15, 40)
         frequencies = [synthesize_frequencies(rho0, SourceParams(n, eta_a, eta_b), SETTINGS)
@@ -279,6 +296,8 @@ class TestMleCurve:
             # can flip at most a few of them
             same = iterations == np.array([fit.iterations for fit in cold])
             assert np.mean(same) >= 0.9
+        if case == "mixed":
+            assert not iterations.any() and all(fit.iterations > 0 for fit in cold)
 
     def test_points_are_the_evaluations_of_their_fitted_states(self, rng, monkeypatch):
         # one evaluation of the whole fitted stack, with no per-point evaluation;
@@ -334,7 +353,9 @@ class TestMleCurve:
 
     def test_unconverged_point_raises(self, rng, monkeypatch):
         # no state reproduces these model frequencies, so every fit starts away
-        # from its optimum, and without backtracking it stops on the floor there
+        # from its optimum; their optima are interior, which Newton steps would
+        # certify, so without them and without backtracking it stops on the floor
+        monkeypatch.setattr(tomography, "_NEWTON_STEPS", 0)
         monkeypatch.setattr(tomography, "_MAX_HALVINGS", 0)
         with pytest.raises(tomography.ConvergenceError,
                            match=r"^the fit at n_bar = 0\.001 did not converge: stop 'floor' at "
@@ -548,6 +569,111 @@ class TestStartStates:
         assert set(stops) == {"gap"} and np.all(gaps <= 1e-10) and iterations.all()
         for freqs, rho in zip(stack, rhos):
             assert helpers.likelihood_gap(freqs, rho) <= CERTIFIED
+
+
+def interior_newton(weights, starts):
+    """``_interior_newton`` of a stack of weights, normalized row by row."""
+    weights = np.asarray(weights, dtype=float)
+    return tomography._interior_newton(SETTINGS, weights / weights.sum(axis=1, keepdims=True),
+                                       starts)
+
+
+class TestInteriorNewton:
+    """Full Newton steps certify interior optima; every other row keeps its start.
+
+    The replays use ``helpers.newton_step``, which takes the step in other
+    coordinates than the library, from explicit kets.
+    """
+
+    def test_uncertified_rows_come_back_as_their_starts(self, rng):
+        # noisy counts of states of rank 1 to 3, whose optima lie on the boundary;
+        # exact probabilities of such states, certified at their start; and noisy
+        # counts of full-rank states, whose optima are interior
+        boundary = [rng.poisson(2e4 * SETTINGS.born_probabilities(
+            helpers.random_density_matrix(rng, rank=1 + k % 3))) for k in range(9)]
+        exact = [SETTINGS.born_probabilities(helpers.random_density_matrix(rng, rank=1 + k % 3))
+                 for k in range(6)]
+        interior = [rng.poisson(2e5 * SETTINGS.born_probabilities(
+            0.7 * helpers.random_density_matrix(rng) + 0.3 * MIXED)) for _ in range(6)]
+        stack = np.maximum(np.array(boundary + exact + interior, dtype=float), 0.0)
+        starts = tomography._start_states(SETTINGS, stack)
+        out = interior_newton(stack, starts)
+        for k, (freqs, start, rho) in enumerate(zip(stack, starts, out)):
+            if k < len(boundary) + len(exact):
+                assert np.array_equal(rho, start)
+            else:
+                assert np.linalg.eigvalsh(rho)[0] > 0.0
+                assert helpers.likelihood_gap(freqs, rho) <= CERTIFIED
+        # the ascent takes the boundary rows from their starts, as without the
+        # phase, and stops on the others at once
+        weights = stack / stack.sum(axis=1, keepdims=True)
+        _, _, iterations, stops = batch_fit(weights, out)
+        assert iterations[:len(boundary)].all() and not iterations[len(boundary):].any()
+        assert set(stops[len(boundary):]) == {"gap"}
+
+    def test_a_step_that_raises_the_gap_ends_the_row(self, rng):
+        # exact probabilities of full-rank states, from the state mixed with I/4: a
+        # first step that raises the gap leaves the start in place even when later
+        # steps would certify; a row whose replayed steps all lower the gap to
+        # certification returns its certified Newton state
+        targets = [helpers.random_density_matrix(rng) for _ in range(48)]
+        stack = np.array([SETTINGS.born_probabilities(rho) for rho in targets])
+        starts = np.array([(1.0 - mix) * rho + mix * MIXED
+                           for rho, mix in zip(targets, rng.uniform(0.05, 0.5, len(targets)))])
+        out = interior_newton(stack, starts)
+        raised = certified = 0
+        for freqs, start, rho in zip(stack, starts, out):
+            gaps, state = [helpers.likelihood_gap(freqs, start)], start
+            for _ in range(tomography._NEWTON_STEPS):
+                state = helpers.newton_step(freqs, state)
+                if np.linalg.eigvalsh(state)[0] <= 0.0:
+                    break
+                gaps.append(helpers.likelihood_gap(freqs, state))
+                if gaps[-1] <= 1e-12 or gaps[-1] > gaps[-2]:
+                    break
+            if len(gaps) > 1 and gaps[1] > 1.1 * gaps[0]:
+                raised += 1
+                assert np.array_equal(rho, start)
+            elif gaps[-1] <= 1e-12 and np.all(np.diff(gaps) < -0.1 * np.array(gaps[1:])):
+                certified += 1
+                assert helpers.likelihood_gap(freqs, rho) <= CERTIFIED
+                assert np.max(np.abs(rho - state)) <= 1e-8
+        assert raised >= 3 and certified >= 10
+
+    def test_one_step_is_the_newton_step(self, rng, monkeypatch):
+        # a start 1e-6 off an interior optimum certifies after its first step,
+        # which the replay in other coordinates reproduces
+        monkeypatch.setattr(tomography, "_NEWTON_STEPS", 1)
+        targets = [0.8 * helpers.random_density_matrix(rng) + 0.2 * MIXED for _ in range(4)]
+        stack = np.array([SETTINGS.born_probabilities(rho) for rho in targets])
+        starts = np.array([rho + 1e-6 * (helpers.random_density_matrix(rng) - MIXED)
+                           for rho in targets])
+        out = interior_newton(stack, starts)
+        for freqs, start, rho in zip(stack, starts, out):
+            assert helpers.likelihood_gap(freqs, start) > 1e-10
+            assert helpers.likelihood_gap(freqs, rho) <= CERTIFIED
+            assert np.max(np.abs(rho - helpers.newton_step(freqs, start))) <= 1e-13
+
+    def test_singular_hessians_leave_the_other_rows(self, rng):
+        # rows observed in a few quadruples only: their Hessians are singular, which
+        # makes a stacked solve raise for every row; the interior row still certifies
+        group = SETTINGS.group_index
+        sparse = [np.where(np.isin(group, kept), rng.uniform(0.1, 1.0, 36), 0.0)
+                  for kept in ([0], [0, 4, 8], [1, 2, 3, 5])]
+        model = synthesize_frequencies(mixed_entangled_state(rng), SourceParams(0.05, 0.8, 0.3),
+                                       SETTINGS)
+        stack = np.array([sparse[0], model, *sparse[1:]])
+        starts = tomography._start_states(SETTINGS, stack)
+        out = interior_newton(stack, starts)
+        assert helpers.likelihood_gap(model, out[1]) <= CERTIFIED
+        for k in (0, 2, 3):
+            assert helpers.likelihood_gap(stack[k], starts[k]) > 1e-3
+            assert np.array_equal(out[k], starts[k])
+
+    def test_solve_rows_marks_singular_systems(self):
+        a = np.array([np.zeros((3, 3)), np.diag([2.0, 4.0, 8.0]), np.ones((3, 3))])
+        x = tomography._solve_rows(a, np.ones((3, 3)))
+        assert np.all(np.isnan(x[[0, 2]])) and x[1].tolist() == [0.5, 0.25, 0.125]
 
 
 class TestBatchedAscent:
