@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numeric import check_range
-from .states import correlation_analysis
+from .states import _pauli_components, correlation_analysis, validate_density_matrix
 
 ORDERINGS = ("alice_first", "bob_first")
 
@@ -135,11 +135,14 @@ def verify_bases(rho: np.ndarray, bs: BasisSet) -> tuple[float, float]:
     """Evaluate the CHSH polynomial and QBER for explicitly given bases.
 
     No optimization happens here; this is the independent check that a
-    BasisSet achieves the values it promises.  The first tensor index
-    belongs to the first mode, so for ``bob_first`` Alice's vectors
-    contract with the transposed tensor.
+    BasisSet achieves the values it promises.  It validates rho and
+    contracts the bases with its correlation tensor T, read straight
+    from the Pauli components, so it neither builds nor depends on the
+    eigensystem of T^T T that ``optimal_bases`` derives the bases from.
+    The first tensor index belongs to the first mode, so for
+    ``bob_first`` Alice's vectors contract with the transposed tensor.
     """
-    tensor = correlation_analysis(rho).tensor
+    tensor = _pauli_components(validate_density_matrix(rho))[1:, 1:]
     corr = tensor if bs.ordering == "alice_first" else tensor.T
     s = bs.a1 @ corr @ (bs.b1 + bs.b2) + bs.a2 @ corr @ (bs.b1 - bs.b2)
     q = (1.0 - bs.a0 @ corr @ bs.b1) / 2.0

@@ -14,10 +14,10 @@ with h the binary entropy in bits.  r_DW is clamped at zero and defined
 as zero whenever S fails to violate the classical bound S <= 2, because
 the protocol is only secure for violating S.
 
-T is read from the state's Pauli components (``states._pauli_components``)
-and U is diagonalized with ``eigh``, the eigenvalues clipped to [0, 1],
-as ``states.correlation_analysis`` does for the bases.  Public calls
-validate their state first; the fitted stacks of ``tomography``
+The eigenvalues come from ``states._correlation_eigensystems``, the one
+analysis of U that also gives ``states.correlation_analysis`` (and so the
+bases) its eigensystem; this module diagonalizes nothing itself.  Public
+calls validate their state first; the fitted stacks of ``tomography``
 (``mle_curve``, ``monte_carlo_uncertainty``), whose solver returns
 symmetrized unit-trace states, are evaluated as one stack without it.
 
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numeric import check_range
-from .states import _pauli_components, validate_density_matrix
+from .states import _correlation_eigensystems, validate_density_matrix
 
 TSIRELSON = 2.0 * math.sqrt(2.0)
 
@@ -51,11 +51,10 @@ def binary_entropy(q: float) -> float:
 def _evaluate_stack(rhos: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(S, Q, r_DW) arrays of a (B, 4, 4) stack of states, which must be valid already.
 
-    One batched ``eigh`` of every T^T T; every row equals the evaluation
-    of its state alone, bit for bit.
+    Reads the eigenvalues of ``states._correlation_eigensystems``; every
+    row equals the evaluation of its state alone, bit for bit.
     """
-    tensors = _pauli_components(rhos)[:, 1:, 1:]
-    lam = np.clip(np.linalg.eigh(tensors.swapaxes(1, 2) @ tensors)[0][:, ::-1], 0.0, 1.0)
+    lam = _correlation_eigensystems(rhos)[1]
     s = np.minimum(2.0 * np.sqrt(lam[:, 0] + lam[:, 1]), TSIRELSON)
     q = (1.0 - np.sqrt(lam[:, 0])) / 2.0
     return s, q, np.array([devetak_winter(*sq) for sq in zip(s.tolist(), q.tolist())])

@@ -208,25 +208,39 @@ def _fix_sign(vec: np.ndarray) -> np.ndarray:
     return vec
 
 
+def _correlation_eigensystems(rhos: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """T, eigenvalues and eigenvectors of T^T T for a (B, 4, 4) stack of valid states.
+
+    One Pauli-table product and one batched ``eigh``.  The eigenvalues
+    are sorted descending and clipped to [0, 1]: U is positive
+    semidefinite and, for a state, no eigenvalue exceeds 1, so only
+    roundoff lies outside.  ``eigh`` returns them ascending, so reversing
+    the last axis sorts both them and the eigenvector columns.  Signs are
+    left as ``eigh`` returns them; every row equals the analysis of its
+    state alone, bit for bit.
+    """
+    tensors = _pauli_components(rhos)[:, 1:, 1:]
+    vals, vecs = np.linalg.eigh(tensors.swapaxes(1, 2) @ tensors)
+    return tensors, np.clip(vals[:, ::-1], 0.0, 1.0), vecs[:, :, ::-1]
+
+
 def correlation_analysis(rho: np.ndarray) -> CorrelationAnalysis:
     """Compute T[i,j] = Tr[rho (sigma_i (x) sigma_j)] and diagonalize T^T T.
+
+    Validates rho and runs ``_correlation_eigensystems`` on it alone,
+    the analysis that ``metrics`` reads S and Q from, then applies the
+    sign convention to the eigenvectors.
 
     Returns
     -------
     CorrelationAnalysis
-        Eigenvalues sorted descending and clipped to [0, 1]: U is
-        positive semidefinite and, for a state, no eigenvalue exceeds 1,
-        so only roundoff lies outside.
+        Eigenvalues sorted descending and clipped to [0, 1].
     """
-    tensor = _pauli_components(validate_density_matrix(rho))[1:, 1:]
-    matrix_u = tensor.T @ tensor
-    vals, vecs = np.linalg.eigh(matrix_u)
-    order = np.argsort(vals)[::-1]
-    vals = np.clip(vals[order], 0.0, 1.0)
-    vecs = vecs[:, order]
+    tensors, vals, vecs = _correlation_eigensystems(validate_density_matrix(rho)[None])
+    tensor, vecs = tensors[0], vecs[0]
     for k in range(3):
         vecs[:, k] = _fix_sign(vecs[:, k])
-    return CorrelationAnalysis(tensor, matrix_u, vals, vecs)
+    return CorrelationAnalysis(tensor, tensor.T @ tensor, vals[0], vecs)
 
 
 def concurrence(rho: np.ndarray) -> float:

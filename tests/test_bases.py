@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 import helpers
-from entqkd import (MAXIMALLY_MIXED, NoSignalError, basis_report, bell_state, chsh_max,
-                    correlation_analysis, ket_to_dm, optimal_bases, qber_min,
-                    verify_bases, waveplate_angles)
+from entqkd import (MAXIMALLY_MIXED, NoSignalError, basis_report, bases, bell_state,
+                    chsh_max, correlation_analysis, ket_to_dm, optimal_bases, qber_min,
+                    states, verify_bases, waveplate_angles)
 from entqkd.bases import BasisSet, WaveplateSetting
 from entqkd.metrics import TSIRELSON
-from entqkd.states import POLARIZATION_KETS
+from entqkd.states import POLARIZATION_KETS, werner_mix
 
 
 class TestOptimalBases:
@@ -91,6 +91,39 @@ class TestVerifyBases:
             bs = BasisSet(a0=a1, a1=a1, a2=a2, b1=b1, b2=b2, ordering="alice_first")
             s, _ = verify_bases(rho, bs)
             assert s == pytest.approx(TSIRELSON, abs=1e-9)
+
+    @pytest.mark.parametrize("ordering", ["alice_first", "bob_first"])
+    def test_reads_only_the_correlation_tensor(self, ordering, monkeypatch):
+        # the check must not lean on the eigensystem that produced the bases
+        rho = werner_mix(bell_state("psi-"), 0.2)
+        bs = optimal_bases(rho, ordering)
+        want = verify_bases(rho, bs)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("verify_bases diagonalized T^T T")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        monkeypatch.setattr(states, "correlation_analysis", refuse)
+        monkeypatch.setattr(bases, "correlation_analysis", refuse)
+        assert verify_bases(rho, bs) == want
+
+    @pytest.mark.parametrize("ordering", ["alice_first", "bob_first"])
+    def test_contracts_the_direct_tensor(self, ordering, rng):
+        for _ in range(60):
+            rho = helpers.random_density_matrix(rng, rank=int(rng.integers(1, 5)))
+            a0, a1, a2, b1, b2 = (helpers.random_unit_vector(rng) for _ in range(5))
+            bs = BasisSet(a0=a0, a1=a1, a2=a2, b1=b1, b2=b2, ordering=ordering)
+            tensor = helpers.correlation_tensor_direct(rho)
+            corr = tensor if ordering == "alice_first" else tensor.T
+            s_want = a1 @ corr @ (b1 + b2) + a2 @ corr @ (b1 - b2)
+            q_want = (1.0 - a0 @ corr @ b1) / 2.0
+            s, q = verify_bases(rho, bs)
+            assert abs(s - s_want) <= 1e-12 and abs(q - q_want) <= 1e-12
+
+    def test_refuses_a_state_that_is_not_hermitian(self):
+        bs = optimal_bases(bell_state("phi+"))
+        with pytest.raises(ValueError, match="rho is not Hermitian"):
+            verify_bases(np.triu(np.ones((4, 4))) / 4.0, bs)
 
 
 class TestWaveplateAngles:

@@ -96,8 +96,15 @@ class TestEvaluateStack:
         assert got.shape == (count, 3) and np.array_equal(got, want)
 
     def test_single_state_uses_the_bases_eigenvalues(self, rng):
-        # the figures come from the eigenvalues that correlation_analysis gives the bases
-        for rho in self.random_states(rng, 200):
+        # the figures come from the eigenvalues that correlation_analysis gives the
+        # bases, also where eigenvalues tie and the eigenvector order is arbitrary
+        hh = ket_to_dm(np.kron(POLARIZATION_KETS["H"], POLARIZATION_KETS["H"]))
+        mixed_product = np.kron(np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]]),
+                                np.array([[0.6, 0.1j], [-0.1j, 0.4]]))
+        ties = [bell_state(kind) for kind in ("phi+", "phi-", "psi+", "psi-")]
+        ties += [np.asarray(MAXIMALLY_MIXED), hh, mixed_product]
+        ties += [werner_mix(bell_state("phi+"), kappa) for kappa in (0.0, 0.25, 0.5, 1.0)]
+        for rho in ties + self.random_states(rng, 200):
             lam = correlation_analysis(rho).eigenvalues
             s = min(2.0 * math.sqrt(lam[0] + lam[1]), TSIRELSON)
             q = (1.0 - math.sqrt(lam[0])) / 2.0
