@@ -788,8 +788,7 @@ def coincidence_rate_from_counts(ds: TomographyDataset) -> float:
     return float(_quadruple_sums(ds.counts, ds.settings).mean() / ds.n_windows)
 
 
-def monte_carlo_uncertainty(ds: TomographyDataset, samples: int, seed: int,
-                            **mle_kwargs) -> UncertaintyReport:
+def monte_carlo_uncertainty(ds: TomographyDataset, samples: int, seed: int) -> UncertaintyReport:
     """Poisson-resampling uncertainty of S, Q, r_DW and R_key.
 
     Every count is resampled as Poisson with the observed count as its
@@ -805,17 +804,18 @@ def monte_carlo_uncertainty(ds: TomographyDataset, samples: int, seed: int,
     key rates of all rows follow in one array step.  Reconstructions
     start from the base dataset's estimate softened with a small
     admixture of the maximally mixed state; any full-rank start reaches
-    the same maximizer.
+    the same maximizer.  Every fit runs with ``mle_reconstruct``'s
+    default options; unconverged sample fits are counted in the report
+    and kept in its statistics.
     """
     if samples < 2:
         raise ValueError(f"need at least 2 Monte-Carlo samples, got {samples}")
     base = ds.counts.astype(float)
     resamples = np.array([np.random.default_rng(stream).poisson(base)
                           for stream in np.random.SeedSequence(seed).spawn(samples)])
-    base_fit = mle_reconstruct(base, ds.settings, **mle_kwargs)
+    base_fit = mle_reconstruct(base, ds.settings)
     warm_start = 0.99 * base_fit.rho + 0.01 * np.eye(4, dtype=complex) / 4.0
-    fits = [mle_reconstruct(counts, ds.settings, rho_start=warm_start, **mle_kwargs)
-            for counts in resamples]
+    fits = [mle_reconstruct(counts, ds.settings, rho_start=warm_start) for counts in resamples]
     unconverged = sum(not fit.converged for fit in fits)
     s, q, r_dw = metrics._evaluate_stack(np.array([fit.rho for fit in fits]))
     r_c = _quadruple_sums(resamples, ds.settings).mean(axis=-1) / ds.n_windows

@@ -905,14 +905,14 @@ class TestMonteCarlo:
         real = tomography.mle_reconstruct
 
         def recorded(frequencies, settings, **kwargs):
-            result = real(frequencies, settings, **kwargs)
+            result = real(frequencies, settings, **kwargs, **mle_kwargs)
             fits.append((np.array(frequencies), result))
             return result
 
         monkeypatch.setattr(tomography, "mle_reconstruct", recorded)
         stacks = one_stack_evaluations(monkeypatch)
         samples = 30
-        report = monte_carlo_uncertainty(dataset, samples, 5, **mle_kwargs)
+        report = monte_carlo_uncertainty(dataset, samples, 5)
         assert len(fits) == samples + 1 and np.array_equal(fits[0][0], dataset.counts)
         # the sampled fits are evaluated once, as one stack of valid states
         assert len(stacks) == 1 and np.array_equal(stacks[0], [fit.rho for _, fit in fits[1:]])
@@ -930,8 +930,11 @@ class TestMonteCarlo:
         if mle_kwargs:  # the cap falls inside the spread of iteration counts
             assert 0 < unconverged < samples
 
-    def test_unconverged_samples_are_counted_and_kept(self, dataset):
-        report = monte_carlo_uncertainty(dataset, 4, 0, max_iterations=1)
+    def test_unconverged_samples_are_counted_and_kept(self, dataset, monkeypatch):
+        real = tomography.mle_reconstruct
+        monkeypatch.setattr(tomography, "mle_reconstruct", lambda frequencies, settings, **kwargs:
+                            real(frequencies, settings, **kwargs, max_iterations=1))
+        report = monte_carlo_uncertainty(dataset, 4, 0)
         assert report.unconverged == 4
         assert report.samples == 4 and report.s_std > 0.0
         assert report.to_json_dict()["unconverged"] == 4
@@ -939,6 +942,11 @@ class TestMonteCarlo:
     def test_sample_count_guard(self, dataset):
         with pytest.raises(ValueError):
             monte_carlo_uncertainty(dataset, samples=1, seed=0)
+
+    def test_takes_no_solver_options(self, dataset):
+        # options would reach every sample fit; the report runs the defaults only
+        with pytest.raises(TypeError, match="unexpected keyword argument 'max_iterations'"):
+            monte_carlo_uncertainty(dataset, 2, 0, max_iterations=1)
 
     def test_poisson_scaling_of_spread(self, rng):
         base = sampled_dataset(PHI_PLUS, SourceParams(0.01, 0.5, 0.5), 2.0e6, rng)
