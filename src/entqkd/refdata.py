@@ -12,12 +12,18 @@ zeros must come out exactly zero under the clamped rate.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 
 from .metrics import devetak_winter, key_rate
 
 _BUNDLED = "reference_table.json"
+# a row holds tau_ns and five printed quantities, each a value, sigma and resolution
+_ROW_FIELDS = ("tau_ns", "r_c", "s", "q", "r_dw", "r_key")
+_PRINTED_FIELDS = ("value", "sigma", "resolution")
+_NUMBER_FIELDS = ("tau_ns", *(f"{name}.{part}" for name in _ROW_FIELDS[1:]
+                              for part in _PRINTED_FIELDS))
 
 
 @dataclass(frozen=True)
@@ -66,30 +72,55 @@ class RowCheck:
         return self.r_dw_ok and self.r_key_ok
 
 
-def _measured(obj: dict) -> Measured:
-    return Measured(value=float(obj["value"]), sigma=float(obj["sigma"]),
-                    resolution=float(obj["resolution"]))
+def _object(source: str, obj, where: str, keys) -> dict:
+    """obj, a JSON object holding ``keys``; ValueError names the file and the field."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{source}: {where or 'the table'} must be a JSON object")
+    if not obj.keys() >= set(keys):
+        missing = next(key for key in keys if key not in obj)
+        raise ValueError(f"{source}: {where}{'.' if where else ''}{missing} is missing")
+    return obj
 
 
-def _rows_from_obj(obj: dict) -> list[ReferenceRow]:
-    rows = []
-    for row in obj["rows"]:
-        rows.append(ReferenceRow(
-            tau_ns=float(row["tau_ns"]),
-            r_c=_measured(row["r_c"]), s=_measured(row["s"]), q=_measured(row["q"]),
-            r_dw=_measured(row["r_dw"]), r_key=_measured(row["r_key"])))
-    return rows
+def _rows_from_obj(obj, source: str) -> list[ReferenceRow]:
+    rows = _object(source, obj, "", ("rows",))["rows"]
+    if not isinstance(rows, list):
+        raise ValueError(f"{source}: rows must be a list")
+    out = []
+    for i, row in enumerate(rows):
+        where = f"rows[{i}]"
+        values = [_object(source, row, where, _ROW_FIELDS)["tau_ns"]]
+        for name in _ROW_FIELDS[1:]:
+            printed = _object(source, row[name], f"{where}.{name}", _PRINTED_FIELDS)
+            values += (printed["value"], printed["sigma"], printed["resolution"])
+        for field, value in zip(_NUMBER_FIELDS, values):
+            if type(value) not in (int, float) or not math.isfinite(value):
+                raise ValueError(f"{source}: {where}.{field} must be a finite number, "
+                                 f"got {value!r}")
+        numbers = [float(value) for value in values]
+        out.append(ReferenceRow(numbers[0], *(Measured(*numbers[k:k + 3]) for k in range(1, 16, 3))))
+    return out
 
 
 def load_reference_table(path=None) -> list[ReferenceRow]:
-    """Load the bundled table, or a table file of the same schema."""
+    """Load the bundled table, or a table file of the same schema.
+
+    A file that is not JSON or does not follow the schema (a missing
+    field, a value that is not a finite number, rows that are not a list
+    of objects) raises ValueError naming the file and, for the schema,
+    the field, e.g. ``rows[0].r_c``.
+    """
     if path is None:
         # data/ is a directory of the package, not a package: resources.files of it
         # as a namespace package fails when entqkd is imported from a zip file
         text = (resources.files("entqkd") / "data" / _BUNDLED).read_text(encoding="utf-8")
-        return _rows_from_obj(json.loads(text))
+        return _rows_from_obj(json.loads(text), _BUNDLED)
     with open(path, encoding="utf-8") as fh:
-        return _rows_from_obj(json.load(fh))
+        try:
+            obj = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not a JSON file: {exc}") from exc
+    return _rows_from_obj(obj, str(path))
 
 
 def check_row(row: ReferenceRow) -> RowCheck:

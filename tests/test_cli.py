@@ -435,3 +435,33 @@ class TestTableCheck:
         bad.write_text(json.dumps(obj))
         assert main(["table-check", str(bad)]) == cli.EXIT_INCONSISTENT == 1
         assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("case,field", [
+        ("empty object", "rows is missing"),
+        ("row without r_c", "rows[0].r_c is missing"),
+        ("null value", "rows[2].q.value must be a finite number, got None"),
+        ("NaN value", "rows[1].s.sigma must be a finite number, got nan"),
+        ("top-level list", "the table must be a JSON object"),
+        ("cut short", "not a JSON file: Expecting value: line 1 column 10 (char 9)"),
+    ])
+    def test_malformed_table_is_invalid_input(self, tmp_path, capsys, case, field):
+        # exit 1 means an inconsistent row; a file that is not a table is invalid input
+        from importlib import resources
+        obj = json.loads(resources.files("entqkd").joinpath("data", "reference_table.json")
+                         .read_text())
+        if case == "empty object":
+            obj = {}
+        elif case == "row without r_c":
+            del obj["rows"][0]["r_c"]
+        elif case == "null value":
+            obj["rows"][2]["q"]["value"] = None
+        elif case == "NaN value":
+            obj["rows"][1]["s"]["sigma"] = math.nan
+        elif case == "top-level list":
+            obj = obj["rows"]
+        bad = tmp_path / "table.json"
+        bad.write_text('{"rows": ' if case == "cut short" else json.dumps(obj))
+        assert main(["table-check", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {bad}: {field}\n"
