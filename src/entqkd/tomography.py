@@ -17,20 +17,21 @@ with Nesterov momentum, projected back onto the density matrices, with
 a backtracked step length and a momentum restart whenever a step would
 lower the likelihood, so accepted iterates are monotone.  It stops on
 the certified gap lambda_max(R) - 1, which bounds the log-likelihood
-per count that any state could still add.  Every fit starts from its
-own data: the linear-inversion estimate of the quadruple-normalized
-frequencies, projected onto the density matrices.  An estimate that
-is certified already is the start: exact frequencies of a state invert
-to the state itself, their maximizer, so such a fit stops before its
-first step.  Every other estimate, which is every one of noisy counts,
-is mixed with a little of I/4, so every setting starts with a positive
-probability (Smolin, Gambetta & Smith, PRL 108, 070502, 2012).
+per count that any state could still add.
 
-A pipeline gain curve (``mle_curve``) first takes full Newton steps in
-the traceless Pauli coordinates of the state on every point whose start
-is not certified.  A point whose optimum is interior, as for full-rank
-source states, certifies in two or three of them and the ascent stops
-it before its first iteration; every other point keeps its start.
+Every fit starts from its own data by one rule (``_start_states``),
+for single fits and gain curves alike: the linear-inversion estimate
+of the quadruple-normalized frequencies, projected onto the density
+matrices.  An estimate that is certified already is the start: exact
+frequencies of a state invert to the state itself, their maximizer, so
+such a fit stops before its first step.  Every other estimate, which
+is every one of noisy counts, is mixed with a little of I/4, so every
+setting starts with a positive probability (Smolin, Gambetta & Smith,
+PRL 108, 070502, 2012), and then takes full Newton steps in the
+traceless Pauli coordinates of the state.  A fit whose optimum is
+interior, as for full-rank states, certifies in two or three of them
+and the ascent stops it before its first iteration; every other fit
+keeps its mixed start.  A given ``rho_start`` replaces the whole rule.
 
 Monte-Carlo uncertainty resamples every observed count as Poisson with
 the observed value as mean.  Per-sample generators are spawned from a
@@ -444,6 +445,7 @@ def _projected_steps(sigma: np.ndarray, move: np.ndarray) -> np.ndarray:
 def _start_states(settings: TomographySettings, w: np.ndarray) -> np.ndarray:
     """Starting states for a (B, 36) stack of weights, shape (B, 4, 4).
 
+    This is the start rule of every fit that starts from its own data.
     Each complementary quadruple is normalized to unit sum (an all-zero
     one gets 1/4 per setting) and inverted linearly by
     ``settings.linear_inversion``, and the estimate is projected onto the
@@ -454,11 +456,14 @@ def _start_states(settings: TomographySettings, w: np.ndarray) -> np.ndarray:
     is at most ``_TOL``, which bounds every ratio c_k / p_k of the
     gradient by 1 + ``_TOL``.  Exact frequencies of a state pass, unless
     a weight is roundoff of an exact 0, so their fit stops before its
-    first step.  Every other row, which is every row of noisy counts,
-    gets ``_START_MIX`` of I/4 mixed in, so every setting starts at a
-    probability of at least ``_START_MIX / 4`` and any weight, even one
-    the projection gave probability 0, can be fitted.  The rows are
-    independent.
+    first step.  Every other row, which is
+    every row of noisy counts, gets ``_START_MIX`` of I/4 mixed in, so
+    every setting starts at a probability of at least ``_START_MIX / 4``
+    and any weight, even one the projection gave probability 0, can be
+    fitted; exactly these mixed rows then take ``_interior_newton``'s
+    full Newton steps, which certify the rows whose optimum is interior
+    and leave every other row at its mixed start, bit for bit.  The
+    weights may have any scale, and the rows are independent.
     """
     sums = _quadruple_sums(w, settings)[:, settings.group_index]  # each setting's group sum
     f = np.divide(w, sums, out=np.full(w.shape, 0.25), where=sums > 0.0)
@@ -474,7 +479,8 @@ def _start_states(settings: TomographySettings, w: np.ndarray) -> np.ndarray:
     ratios = np.divide(c, p[keeps], out=np.zeros(c.shape), where=c > 0.0)
     r_op = (ratios @ settings.projectors_real).view(complex).reshape(-1, 4, 4)
     keeps[keeps] = np.linalg.eigvalsh(r_op)[:, -1] <= (1.0 + _TOL) * c.sum(axis=1)
-    starts[~keeps] = (1.0 - _START_MIX) * starts[~keeps] + _START_MIX / 4.0 * _EYE4
+    starts[~keeps] = _interior_newton(
+        settings, w[~keeps], (1.0 - _START_MIX) * starts[~keeps] + _START_MIX / 4.0 * _EYE4)
     return starts
 
 
@@ -500,22 +506,23 @@ def _interior_newton(settings: TomographySettings, w: np.ndarray,
                      starts: np.ndarray) -> np.ndarray:
     """Certify fits whose optimum is interior by full Newton steps, shape (B, 4, 4).
 
-    ``w`` is a (B, 36) stack of normalized weights and ``starts`` the
-    states ``_accelerated_ascent_batch`` would start them from.  A row
-    takes steps only if its start is not certified already.  The steps
-    work on the 15 traceless Pauli coordinates x of the state, whose
-    probabilities are p = 1/4 + D x with D = ``settings._pauli_design``,
-    so the trace stays 1 without a multiplier.  Each step is a full
-    Newton step of sum_k w_k log p_k, (D^T diag(w / p^2) D) dx =
-    D^T (w / p), without a line search.  A row keeps a step only if the
-    new state is positive definite, every setting of positive weight
-    keeps a positive probability and the certified gap lambda_max(R) - 1
-    falls; the gap comes from the ascent's own Born product of the state
-    scaled to unit trace, so the ascent reads the same gap.  A row leaves
-    at the first step it cannot keep (a singular Hessian and a step that
-    is not finite are such steps), when its gap reaches ``_TOL``, or
-    after ``_NEWTON_STEPS`` steps.  A row that reached ``_TOL`` comes
-    back as its Newton state, at which the ascent stops before its first
+    ``w`` is a (B, 36) stack of weights of any scale and ``starts`` the
+    states to step from; ``_start_states`` passes exactly its mixed rows,
+    none of which is certified, so every row takes steps and no row's
+    gap is evaluated to choose them.  The steps work on the 15 traceless
+    Pauli coordinates x of the state, whose probabilities are p = 1/4 +
+    D x with D = ``settings._pauli_design``, so the trace stays 1
+    without a multiplier.  Each step is a full Newton step of sum_k w_k
+    log p_k, (D^T diag(w / p^2) D) dx = D^T (w / p), without a line
+    search.  A row keeps a step only if the new state is positive
+    definite, every setting of positive weight keeps a positive
+    probability and the certified gap lambda_max(R) / sum(w) - 1 falls;
+    the gap comes from the ascent's own Born product of the state scaled
+    to unit trace, so the ascent reads the same gap.  A row leaves at the
+    first step it cannot keep (a singular Hessian and a step that is not
+    finite are such steps), when its gap reaches ``_TOL``, or after
+    ``_NEWTON_STEPS`` steps.  A row that reached ``_TOL`` comes back as
+    its Newton state, at which the ascent stops before its first
     iteration; every other row comes back as its start, bit for bit, and
     the ascent fits it as it would without this phase.  Steps toward an
     optimum on the boundary, where the state loses rank, soon leave the
@@ -526,11 +533,11 @@ def _interior_newton(settings: TomographySettings, w: np.ndarray,
     rho = starts / np.trace(starts, axis1=1, axis2=2).real[:, None, None]
     # the probabilities of unobserved settings are held at +inf, as in the ascent
     unobserved = np.where(w > 0.0, 0.0, np.inf)
+    # lambda_max(R) - total is the gap scaled by the row's total weight
+    rows, total = np.arange(len(w)), w.sum(axis=1)
     p = _born_rows(projectors_real, rho) + unobserved
-    gap = np.linalg.eigvalsh(_ratio_operators(projectors_real, w, p))[:, -1] - 1.0
-    rows = np.flatnonzero(gap > _TOL)
-    w, unobserved, p, gap = w[rows], unobserved[rows], p[rows], gap[rows]
-    x = _pauli_components(rho[rows]).reshape(-1, 16)[:, 1:]
+    gap = np.linalg.eigvalsh(_ratio_operators(projectors_real, w, p))[:, -1] - total
+    x = _pauli_components(rho).reshape(-1, 16)[:, 1:]
     # a step off the likelihood's domain overflows or yields nan, which every test
     # below refuses
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -552,12 +559,12 @@ def _interior_newton(settings: TomographySettings, w: np.ndarray,
             r_op = _ratio_operators(projectors_real, w, np.where(keep[:, None], p_new, 1.0))
             keep &= np.isfinite(r_op).all(axis=(1, 2))
             r_op[~keep] = _EYE4
-            gap_new = np.linalg.eigvalsh(r_op)[:, -1] - 1.0
+            gap_new = np.linalg.eigvalsh(r_op)[:, -1] - total
             keep &= gap_new < gap
-            done = keep & (gap_new <= _TOL)
+            done = keep & (gap_new <= _TOL * total)
             out[rows[done]] = cand[done]
             go = keep & ~done
-            rows, w, unobserved = rows[go], w[go], unobserved[go]
+            rows, w, unobserved, total = rows[go], w[go], unobserved[go], total[go]
             x, p, gap = x_new[go], p_new[go], gap_new[go]
     return out
 
@@ -720,11 +727,13 @@ def mle_reconstruct(frequencies, settings: TomographySettings, *,
         ``stop="cap"`` and ``converged=False``.
     rho_start : array_like, optional
         Starting state.  It must give every setting with a nonzero
-        frequency a positive probability.  The default is the projected
-        linear-inversion estimate of the frequencies, mixed with 0.1 % of
-        I/4 unless it is certified already; ``mle_curve`` takes its Newton
-        steps from the same start.  Exact frequencies of a state start at
-        their maximizer and certify at 0 iterations.
+        frequency a positive probability, and it replaces the whole
+        start rule, Newton steps included.  The default is ``mle_curve``'s
+        start: the projected linear-inversion estimate of the
+        frequencies if it is certified already, and otherwise that
+        estimate mixed with 0.1 % of I/4, then full Newton steps, which
+        certify a fit whose optimum is interior.  Either way such a fit
+        certifies at 0 iterations, as do exact frequencies of a state.
     on_iteration : callable, optional
         Called as ``on_iteration(iteration, log_likelihood)`` after every
         accepted update (likelihoods are per unit weight, nondecreasing).
@@ -839,14 +848,14 @@ def mle_curve(rho0: np.ndarray, eta_a: float, eta_b: float, n_bar_grid) -> list[
     positive and finite: a zero gain gives no coincidences to
     reconstruct from.  The frequencies of all grid points come from one
     array evaluation of the source model, and all points are fitted as
-    one stack, each from its own projected linear-inversion estimate to
-    the default certified gap, so each point is independent of the rest
-    of the grid.  Synthesized frequencies that a state reproduces start
-    at their maximizer and certify at once; the others start from the
-    estimate mixed with a little of I/4.  From there, batched full
-    Newton steps (``_interior_newton``) certify the points whose optimum
-    is interior, and the ascent stops those at 0 iterations; the ascent
-    fits every other point from its start.  A point whose fit does not
+    one stack, each from its own start to the default certified gap, so
+    each point is independent of the rest of the grid.  The start rule
+    is ``mle_reconstruct``'s: synthesized frequencies that a state
+    reproduces start at their maximizer and certify at once; the others
+    start from the estimate mixed with a little of I/4, from which
+    batched full Newton steps certify the points whose optimum is
+    interior, and the ascent stops those at 0 iterations; the ascent
+    fits every other point from its mixed start.  A point whose fit does not
     converge raises ``ConvergenceError``, so no uncertified point is
     returned.  The fitted states are evaluated as one stack, without
     validating each again.
@@ -869,9 +878,8 @@ def mle_curve(rho0: np.ndarray, eta_a: float, eta_b: float, n_bar_grid) -> list[
     if not np.all(totals > 0.0):
         raise ValueError("frequencies must not be all zero")
     weights = frequencies / totals
-    starts = _interior_newton(settings, weights, _start_states(settings, weights))
     rhos, gaps, _, stops = _accelerated_ascent_batch(
-        settings.projectors_real, weights, starts, _MAX_ITERATIONS)
+        settings.projectors_real, weights, _start_states(settings, weights), _MAX_ITERATIONS)
     failed = [(n_bar, gap, stop)
               for n_bar, gap, stop in zip(grid.tolist(), gaps.tolist(), stops.tolist())
               if not _certified(stop, gap)]

@@ -190,9 +190,9 @@ def test_fits_certify_and_recover_the_probabilities(rho, dephased):
 @given(w=weight_stacks())
 def test_start_states_are_interior_density_matrices(w):
     # a start is the estimate when that is certified already, and otherwise
-    # mixes in I/4; a certified start has lambda_max(R) <= 1 + 1e-10, so every
-    # setting with weight keeps a probability of at least its normalized weight
-    # over 1 + 1e-10
+    # mixes in I/4 or is the certified state of Newton steps from there; a
+    # certified start has lambda_max(R) <= 1 + 1e-10, so every setting with
+    # weight keeps a probability of at least its normalized weight over 1 + 1e-10
     for start, row_w in zip(tomography._start_states(SETTINGS, w), w):
         assert np.array_equal(start, start.conj().T)
         assert np.trace(start).real == pytest.approx(1.0, abs=1e-12)
@@ -210,11 +210,22 @@ def test_start_states_are_interior_density_matrices(w):
 @given(w=newton_stacks())
 def test_newton_phase_certifies_or_keeps_the_start(w):
     # zero weights can make a Hessian singular or a step leave the domain; the
-    # phase never raises for that, and a row it changes is a certified state
-    starts = tomography._start_states(SETTINGS, w)
-    out = tomography._interior_newton(SETTINGS, w, starts)
+    # phase never raises for that, and a row it changes is a certified state.
+    # The phase runs inside _start_states, on the rows it mixed
+    calls = []
+    real = tomography._interior_newton
+
+    def recorded(settings, w_rows, starts):
+        out = real(settings, w_rows, starts)
+        calls.append((w_rows, starts, out))
+        return out
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tomography, "_interior_newton", recorded)
+        tomography._start_states(SETTINGS, w)
+    [(mixed_w, starts, out)] = calls
     assert out.shape == starts.shape
-    for start, rho, row_w in zip(starts, out, w):
+    for start, rho, row_w in zip(starts, out, mixed_w):
         if not np.array_equal(rho, start):
             validate_density_matrix(rho)
             assert np.linalg.eigvalsh(rho)[0] > 0.0

@@ -144,9 +144,11 @@ class TestMleReconstruct:
         assert np.max(np.abs(a.rho - b.rho)) < 1e-10
 
     def test_monotone_likelihood(self, rng):
+        # from I/4: the default start of these full-rank counts certifies by Newton
+        # steps, and the ascent has no step left to trace
         counts = rng.poisson(2000 * SETTINGS.born_probabilities(werner_mix(PHI_PLUS, 0.05)))
         trace = []
-        mle_reconstruct(counts.astype(float), SETTINGS,
+        mle_reconstruct(counts.astype(float), SETTINGS, rho_start=MIXED,
                         on_iteration=lambda i, ll: trace.append(ll))
         assert len(trace) > 1
         assert np.all(np.diff(trace) >= 0.0)
@@ -254,7 +256,8 @@ class TestMleCurve:
     @pytest.mark.parametrize("case", ["compare_default", "rank_deficient", "mixed"])
     def test_matches_cold_fits(self, case, rng, monkeypatch):
         # the mixed curve's optima are interior: Newton steps certify every point
-        # before the ascent, which then takes no iteration
+        # before the ascent, which then takes no iteration, in the curve and in
+        # the single fits alike
         import entqkd.tomography as tomo
         if case == "compare_default":
             rho0 = werner_mix(PHI_PLUS, 1.0 - 2.815 / TSIRELSON)
@@ -297,7 +300,10 @@ class TestMleCurve:
             same = iterations == np.array([fit.iterations for fit in cold])
             assert np.mean(same) >= 0.9
         if case == "mixed":
-            assert not iterations.any() and all(fit.iterations > 0 for fit in cold)
+            assert not iterations.any()
+            assert all(fit.iterations == 0 and fit.stop == "gap" for fit in cold)
+            for freqs, fit in zip(frequencies, cold):
+                assert helpers.likelihood_gap(freqs, fit.rho) <= CERTIFIED
 
     def test_points_are_the_evaluations_of_their_fitted_states(self, rng, monkeypatch):
         # one evaluation of the whole fitted stack, with no per-point evaluation;
@@ -521,7 +527,10 @@ class TestStartStates:
 
     def test_uncertified_estimate_is_mixed(self, monkeypatch):
         # no state reproduces these model frequencies: the estimate keeps every
-        # setting near its frequency, but it is a gap of 3.6e-6 from the optimum
+        # setting near its frequency, but it is a gap of 3.6e-6 from the optimum;
+        # without Newton steps, which certify this interior optimum, the start is
+        # the mixed estimate
+        monkeypatch.setattr(tomography, "_NEWTON_STEPS", 0)
         freqs = synthesize_frequencies(mixed_entangled_state(np.random.default_rng(3)),
                                        SourceParams(1e-3, 0.8, 0.3), SETTINGS)
         start = tomography._start_states(SETTINGS, freqs[None])[0]
@@ -571,11 +580,84 @@ class TestStartStates:
             assert helpers.likelihood_gap(freqs, rho) <= CERTIFIED
 
 
+class TestStartRule:
+    """Every fit from its own data starts by ``_start_states``, Newton steps included."""
+
+    def test_interior_optimum_certifies_at_zero_iterations(self):
+        # Poisson counts of a Werner state, about 1e6 in all: the optimum is interior,
+        # so Newton steps certify the single fit before the ascent
+        born = SETTINGS.born_probabilities(werner_mix(PHI_PLUS, 0.1))
+        counts = np.random.default_rng(3).poisson(1e6 / 9.0 * born).astype(float)
+        rec = mle_reconstruct(counts, SETTINGS)
+        assert (rec.stop, rec.iterations, rec.converged) == ("gap", 0, True)
+        assert helpers.likelihood_gap(counts, rec.rho) <= CERTIFIED
+        ascent = mle_reconstruct(counts, SETTINGS, rho_start=MIXED)
+        assert ascent.iterations > 0 and ascent.stop == "gap"
+        assert np.max(np.abs(rec.rho - ascent.rho)) <= 1e-8
+
+    def test_newton_steps_only_the_mixed_rows_once_per_start(self, rng, monkeypatch):
+        calls = newton_calls(monkeypatch)
+        # compare's default grid: every start is certified, so no row steps
+        compare = werner_mix(PHI_PLUS, 1.0 - 2.815 / TSIRELSON)
+        mle_curve(compare, 0.16, 0.16, np.geomspace(1e-4, 0.2, 80))
+        [[(w, starts, _)]] = calls
+        assert w.shape == (0, 36) and starts.shape == (0, 4, 4)
+        # the mixed curve: every start is mixed and steps, in one call
+        mle_curve(mixed_entangled_state(rng), 0.8, 0.3, np.geomspace(1e-3, 0.15, 40))
+        assert len(calls) == 2 and [len(w) for w, _, _ in calls[1]] == [40]
+        # noisy counts interleaved with exact probabilities: the noisy rows step, from
+        # their estimates mixed with I/4
+        rows = []
+        for rank in (1, 2, 3, 4):
+            rho = helpers.random_density_matrix(rng, rank=rank)
+            rows += [rng.poisson(1e4 * SETTINGS.born_probabilities(rho)),
+                     SETTINGS.born_probabilities(rho)]
+        stack = np.maximum(np.array(rows, dtype=float), 0.0)
+        tomography._start_states(SETTINGS, stack)
+        [(w, starts, _)] = calls[2]
+        assert np.array_equal(w, stack[::2])
+        monkeypatch.setattr(tomography, "_START_MIX", 0.0)
+        monkeypatch.setattr(tomography, "_NEWTON_STEPS", 0)
+        estimates = tomography._start_states(SETTINGS, stack)[::2]
+        assert np.max(np.abs(starts - (0.999 * estimates + 0.001 * MIXED))) <= 1e-15
+        monkeypatch.undo()
+        # a single fit takes one start of one row; a fit from rho_start takes none
+        calls = newton_calls(monkeypatch)
+        mle_reconstruct(stack[0], SETTINGS)
+        mle_reconstruct(stack[0], SETTINGS, rho_start=MIXED)
+        assert [[len(w) for w, _, _ in record] for record in calls] == [[1]]
+
+
 def interior_newton(weights, starts):
     """``_interior_newton`` of a stack of weights, normalized row by row."""
     weights = np.asarray(weights, dtype=float)
     return tomography._interior_newton(SETTINGS, weights / weights.sum(axis=1, keepdims=True),
                                        starts)
+
+
+def newton_calls(monkeypatch) -> list:
+    """One list per ``_start_states`` call, holding (weights, starts, result) of each
+    ``_interior_newton`` call it made; a Newton call outside ``_start_states`` fails."""
+    records, inside = [], []
+    real_start, real_newton = tomography._start_states, tomography._interior_newton
+
+    def start(settings, w):
+        records.append([])
+        inside.append(True)
+        try:
+            return real_start(settings, w)
+        finally:
+            inside.pop()
+
+    def newton(settings, w, starts):
+        assert inside, "_interior_newton was called outside _start_states"
+        out = real_newton(settings, w, starts)
+        records[-1].append((w.copy(), starts.copy(), out.copy()))
+        return out
+
+    monkeypatch.setattr(tomography, "_start_states", start)
+    monkeypatch.setattr(tomography, "_interior_newton", newton)
+    return records
 
 
 class TestInteriorNewton:
@@ -585,7 +667,7 @@ class TestInteriorNewton:
     coordinates than the library, from explicit kets.
     """
 
-    def test_uncertified_rows_come_back_as_their_starts(self, rng):
+    def test_uncertified_rows_come_back_as_their_starts(self, rng, monkeypatch):
         # noisy counts of states of rank 1 to 3, whose optima lie on the boundary;
         # exact probabilities of such states, certified at their start; and noisy
         # counts of full-rank states, whose optima are interior
@@ -596,18 +678,22 @@ class TestInteriorNewton:
         interior = [rng.poisson(2e5 * SETTINGS.born_probabilities(
             0.7 * helpers.random_density_matrix(rng) + 0.3 * MIXED)) for _ in range(6)]
         stack = np.maximum(np.array(boundary + exact + interior, dtype=float), 0.0)
+        calls = newton_calls(monkeypatch)
         starts = tomography._start_states(SETTINGS, stack)
-        out = interior_newton(stack, starts)
-        for k, (freqs, start, rho) in enumerate(zip(stack, starts, out)):
-            if k < len(boundary) + len(exact):
+        # the exact rows are certified at their estimate and take no step
+        [[(w, mixed, out)]] = calls
+        noisy = np.r_[:len(boundary), len(boundary) + len(exact):len(stack)]
+        assert np.array_equal(w, stack[noisy]) and np.array_equal(out, starts[noisy])
+        for k, (freqs, start, rho) in enumerate(zip(stack[noisy], mixed, out)):
+            if k < len(boundary):
                 assert np.array_equal(rho, start)
             else:
                 assert np.linalg.eigvalsh(rho)[0] > 0.0
                 assert helpers.likelihood_gap(freqs, rho) <= CERTIFIED
-        # the ascent takes the boundary rows from their starts, as without the
-        # phase, and stops on the others at once
+        # the ascent takes the boundary rows from their mixed starts, as without
+        # the phase, and stops on the others at once
         weights = stack / stack.sum(axis=1, keepdims=True)
-        _, _, iterations, stops = batch_fit(weights, out)
+        _, _, iterations, stops = batch_fit(weights, starts)
         assert iterations[:len(boundary)].all() and not iterations[len(boundary):].any()
         assert set(stops[len(boundary):]) == {"gap"}
 
@@ -654,7 +740,7 @@ class TestInteriorNewton:
             assert helpers.likelihood_gap(freqs, rho) <= CERTIFIED
             assert np.max(np.abs(rho - helpers.newton_step(freqs, start))) <= 1e-13
 
-    def test_singular_hessians_leave_the_other_rows(self, rng):
+    def test_singular_hessians_leave_the_other_rows(self, rng, monkeypatch):
         # rows observed in a few quadruples only: their Hessians are singular, which
         # makes a stacked solve raise for every row; the interior row still certifies
         group = SETTINGS.group_index
@@ -663,8 +749,10 @@ class TestInteriorNewton:
         model = synthesize_frequencies(mixed_entangled_state(rng), SourceParams(0.05, 0.8, 0.3),
                                        SETTINGS)
         stack = np.array([sparse[0], model, *sparse[1:]])
-        starts = tomography._start_states(SETTINGS, stack)
-        out = interior_newton(stack, starts)
+        calls = newton_calls(monkeypatch)
+        tomography._start_states(SETTINGS, stack)
+        [[(w, starts, out)]] = calls  # every row is mixed and steps
+        assert np.array_equal(w, stack)
         assert helpers.likelihood_gap(model, out[1]) <= CERTIFIED
         for k in (0, 2, 3):
             assert helpers.likelihood_gap(stack[k], starts[k]) > 1e-3
@@ -737,12 +825,9 @@ class TestBatchedAscent:
         stack = np.array([synthesize_frequencies(rho0, SourceParams(n, eta_a, eta_b), SETTINGS)
                           for n in grid])
         weights = stack / stack.sum(axis=1, keepdims=True)
-        # every path starts each row from the same state: the default one, or I/4
-        # for the compare grid, whose default start certifies before any step
-        if case == "compare_default":
-            starts = np.repeat(MIXED[None], len(weights), axis=0)
-        else:
-            starts = tomography._start_states(SETTINGS, weights)
+        # every path starts each row from I/4: the compare grid's default start
+        # certifies before any step, and the mixed grid's by Newton steps
+        starts = np.repeat(MIXED[None], len(weights), axis=0)
         passes = []
         real = tomography._projected_steps
 
