@@ -33,6 +33,10 @@ interior, as for full-rank states, certifies in two or three of them
 and the ascent stops it before its first iteration; every other fit
 keeps its mixed start.  A given ``rho_start`` replaces the whole rule.
 
+Before a fit, a weight at most 1e-13 of its row's largest counts as 0
+(``_ZERO_WEIGHT``): such weights are roundoff of an exact 0, as in the
+Born products of a state, and no fit can certify against them.
+
 Monte-Carlo uncertainty resamples every observed count as Poisson with
 the observed value as mean.  Per-sample generators are spawned from a
 single master seed, so results are reproducible and independent of any
@@ -74,6 +78,10 @@ _START_MIX = 1e-3
 #: the roundoff of a Born product of a unit-trace state (32 terms of size <= 1), so the
 #: solver's own product of the start is positive too
 _BORN_ROUNDOFF = 1e-13
+#: a weight at most this fraction of its row's largest is roundoff of an exact 0, as in
+#: Born products of a state that gives a setting probability 0, and counts as 0; a row of
+#: integer counts loses no count unless it holds more than 1e13 counts
+_ZERO_WEIGHT = 1e-13
 #: full Newton steps ``_interior_newton`` takes at most; from the starts of a gain
 #: curve an interior optimum certifies in 2 or 3
 _NEWTON_STEPS = 5
@@ -253,6 +261,11 @@ def _check_frequencies(frequencies) -> np.ndarray:
     if c.sum() <= 0.0:
         raise ValueError("frequencies must not be all zero")
     return c
+
+
+def _kept_weights(c: np.ndarray) -> np.ndarray:
+    """c with every weight at most ``_ZERO_WEIGHT`` of its row's largest set to 0."""
+    return np.where(c > _ZERO_WEIGHT * c.max(axis=-1, keepdims=True), c, 0.0)
 
 
 def _certified(stop: str, gap: float) -> bool:
@@ -454,9 +467,9 @@ def _start_states(settings: TomographySettings, w: np.ndarray) -> np.ndarray:
     that estimate if it is certified already: it gives every setting of
     positive weight a probability above ``_BORN_ROUNDOFF``, and its gap
     is at most ``_TOL``, which bounds every ratio c_k / p_k of the
-    gradient by 1 + ``_TOL``.  Exact frequencies of a state pass, unless
-    a weight is roundoff of an exact 0, so their fit stops before its
-    first step.  Every other row, which is
+    gradient by 1 + ``_TOL``.  Exact frequencies of a state pass once
+    ``_kept_weights`` has zeroed the roundoff of their exact zeros, so
+    their fit stops before its first step.  Every other row, which is
     every row of noisy counts, gets ``_START_MIX`` of I/4 mixed in, so
     every setting starts at a probability of at least ``_START_MIX / 4``
     and any weight, even one the projection gave probability 0, can be
@@ -720,8 +733,10 @@ def mle_reconstruct(frequencies, settings: TomographySettings, *,
     ----------
     frequencies : array_like, shape (36,)
         Nonnegative counts or relative frequencies in settings order;
-        any overall scale is irrelevant.  The parameters after
-        ``settings`` are keyword-only.
+        any overall scale is irrelevant.  A frequency at most 1e-13 of
+        the largest counts as 0, as roundoff of an exact 0; integer
+        counts lose none unless they sum to more than 1e13.  The
+        parameters after ``settings`` are keyword-only.
     max_iterations : int
         Iteration cap; hitting it returns the best iterate with
         ``stop="cap"`` and ``converged=False``.
@@ -745,7 +760,7 @@ def mle_reconstruct(frequencies, settings: TomographySettings, *,
         frequencies; ``gap`` is lambda_max(R) - 1 at the returned state
         and ``stop`` the reason the ascent ended.
     """
-    c = _check_frequencies(frequencies)
+    c = _kept_weights(_check_frequencies(frequencies))
     total = c.sum()
     c = c / total  # likelihood maximizer is scale invariant; normalize once
 
@@ -855,7 +870,8 @@ def mle_curve(rho0: np.ndarray, eta_a: float, eta_b: float, n_bar_grid) -> list[
     start from the estimate mixed with a little of I/4, from which
     batched full Newton steps certify the points whose optimum is
     interior, and the ascent stops those at 0 iterations; the ascent
-    fits every other point from its mixed start.  A point whose fit does not
+    fits every other point from its mixed start.  Frequencies at most
+    1e-13 of their point's largest count as 0.  A point whose fit does not
     converge raises ``ConvergenceError``, so no uncertified point is
     returned.  The fitted states are evaluated as one stack, without
     validating each again.
@@ -873,7 +889,7 @@ def mle_curve(rho0: np.ndarray, eta_a: float, eta_b: float, n_bar_grid) -> list[
     # the click probabilities depend on the transmittances only
     probs = click_probabilities(rho0, settings.bloch_a, settings.bloch_b,
                                 SourceParams(n_bar=0.0, eta_a=eta_a, eta_b=eta_b))
-    frequencies = coincidence_probability(probs, grid[:, None])
+    frequencies = _kept_weights(coincidence_probability(probs, grid[:, None]))
     totals = frequencies.sum(axis=1, keepdims=True)
     if not np.all(totals > 0.0):
         raise ValueError("frequencies must not be all zero")

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import helpers
@@ -230,6 +230,20 @@ def test_newton_phase_certifies_or_keeps_the_start(w):
             validate_density_matrix(rho)
             assert np.linalg.eigvalsh(rho)[0] > 0.0
             assert helpers.likelihood_gap(row_w, rho) <= 1e-10 + helpers.GAP_ROUNDOFF
+
+
+@PROPERTY
+@given(counts=st.lists(st.lists(st.integers(0, 10 ** 13 // 36), min_size=36, max_size=36),
+                       min_size=1, max_size=3))
+@example(counts=[[10 ** 13 - 35] + [1] * 35])
+def test_count_rows_keep_every_weight(counts):
+    # a row of at most 1e13 counts loses no count to the roundoff-zero rule: its
+    # weights are c / c.sum(), bit for bit
+    c = np.array(counts, dtype=float)
+    assume(np.all(c.sum(axis=1) > 0.0))
+    kept = tomography._kept_weights(c)
+    assert np.array_equal(kept / kept.sum(axis=1, keepdims=True),
+                          c / c.sum(axis=1, keepdims=True))
 
 
 @PROPERTY

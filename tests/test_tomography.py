@@ -1,3 +1,4 @@
+import itertools
 import math
 import signal
 import statistics
@@ -628,6 +629,39 @@ class TestStartRule:
         assert [[len(w) for w, _, _ in record] for record in calls] == [[1]]
 
 
+class TestRoundoffZeroWeights:
+    """A weight at most 1e-13 of its row's largest counts as 0 (``_ZERO_WEIGHT``)."""
+
+    def test_superpositions_of_product_kets_certify(self):
+        # |ab> + phi |cd> for the 630 pairs of the 36 product kets, phi in {1, -1, i, -i}:
+        # 592 of these 2520 rows hold Born weights in (0, 1e-13] of their largest, the
+        # roundoff of an exact 0; counted as weights, they left 104 fits uncertified
+        kets = [np.kron(POLARIZATION_KETS[a], POLARIZATION_KETS[b]) for a, b in SETTINGS.pairs]
+        tiny = 0
+        for first, second in itertools.combinations(kets, 2):
+            for phase in (1, -1, 1j, -1j):
+                ket = first + phase * second
+                ket /= np.linalg.norm(ket)
+                freqs = np.maximum(SETTINGS.born_probabilities(np.outer(ket, ket.conj())), 0.0)
+                kept = np.where(freqs > 1e-13 * freqs.max(), freqs, 0.0)
+                tiny += np.any(kept != freqs)
+                rec = mle_reconstruct(freqs, SETTINGS)
+                assert rec.converged and rec.stop == "gap"
+                assert helpers.likelihood_gap(kept, rec.rho) <= CERTIFIED
+                assert (ket.conj() @ rec.rho @ ket).real >= 1.0 - 1e-12
+        assert tiny == 592
+
+    def test_zeroed_weights_leave_the_likelihood_scale(self):
+        # the zeroed weights drop out of the likelihood as zero counts do
+        freqs = SETTINGS.born_probabilities(werner_mix(PHI_PLUS, 0.2))
+        tiny = freqs.copy()
+        tiny[[1, 7]] = 1e-14 * freqs.max()
+        zeroed = freqs.copy()
+        zeroed[[1, 7]] = 0.0
+        a, b = mle_reconstruct(tiny, SETTINGS), mle_reconstruct(zeroed, SETTINGS)
+        assert np.array_equal(a.rho, b.rho) and a.log_likelihood == b.log_likelihood
+
+
 def interior_newton(weights, starts):
     """``_interior_newton`` of a stack of weights, normalized row by row."""
     weights = np.asarray(weights, dtype=float)
@@ -804,11 +838,14 @@ class TestBatchedAscent:
         ket = np.array([-0.217, 0.366, 0.0, -2.84e-141])
         freqs = SETTINGS.born_probabilities(np.outer(ket, ket) / (ket @ ket))
         assert freqs.min() == 0.0 and 0.0 < freqs[freqs > 0].min() < 1e-280
-        _, gaps, iterations, stops = batch_fit((freqs / freqs.sum())[None], MIXED[None],
-                                               max_iterations=100)
+        # (public fits count these weights as 0, so the scalar ascent is called directly)
+        w = freqs / freqs.sum()
+        _, gaps, iterations, stops = batch_fit(w[None], MIXED[None], max_iterations=100)
         assert stops.tolist() == ["cap"] and iterations.tolist() == [100]
-        scalar = mle_reconstruct(freqs, SETTINGS, max_iterations=100, rho_start=MIXED)
-        assert gaps[0] == pytest.approx(scalar.gap, rel=1e-6)
+        _, _, scalar_gap, scalar_iterations, scalar_stop = tomography._accelerated_ascent(
+            SETTINGS.projectors_real, w, MIXED, 100)
+        assert (scalar_iterations, scalar_stop) == (100, "cap")
+        assert gaps[0] == pytest.approx(scalar_gap, rel=1e-6)
 
     @pytest.mark.parametrize("case", ["compare_default", "mixed"])
     def test_rows_do_not_wait_for_each_other(self, case, rng, monkeypatch):
