@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 
@@ -93,11 +92,6 @@ def _resolve_etas(args, default: float) -> tuple[float, float]:
     return eta_a, eta_b
 
 
-def _load_rho0(path) -> np.ndarray:
-    with open(path, encoding="utf-8") as fh:
-        return dataio.density_matrix_from_json(json.load(fh))
-
-
 def _write_text(text: str, out) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -155,7 +149,8 @@ def cmd_model(args) -> int:
     eta_a, eta_b = _resolve_etas(args, _DEFAULT_ETA)
     grid = _parse_grid(args.nbar_grid, args.log)
     if args.rho0_file is not None:
-        points = tomography.mle_curve(_load_rho0(args.rho0_file), eta_a, eta_b, grid)
+        rho0 = dataio.load_density_matrix(args.rho0_file)
+        points = tomography.mle_curve(rho0, eta_a, eta_b, grid)
     else:
         points = spdc.model_curve(eta_a, eta_b, grid)
     _write_text(dataio.model_points_to_csv(points), args.out)
@@ -178,7 +173,7 @@ def cmd_optimize(args) -> int:
 
 def cmd_bases(args) -> int:
     if args.rho0_file is not None:
-        state = _load_rho0(args.rho0_file)
+        state = dataio.load_density_matrix(args.rho0_file)
     else:
         state = bell_state(args.bell)
     table = bases.basis_report(state, args.ordering)
@@ -200,7 +195,7 @@ def cmd_compare(args) -> int:
     eta_a, eta_b = _resolve_etas(args, _DEFAULT_COMPARE_ETA)
     grid = _parse_grid(args.nbar_grid, True)
     if args.rho0_file is not None:
-        rho0 = _load_rho0(args.rho0_file)
+        rho0 = dataio.load_density_matrix(args.rho0_file)
     else:
         s_target = check_range("--s-target", args.s_target, 0.0, metrics.TSIRELSON)
         rho0 = werner_mix(bell_state("phi+"), 1.0 - s_target / metrics.TSIRELSON)

@@ -38,10 +38,10 @@ def density_matrix_to_json(rho: np.ndarray) -> dict:
     return {"re": rho.real.tolist(), "im": rho.imag.tolist()}
 
 
-def density_matrix_from_json(obj: dict) -> np.ndarray:
+def density_matrix_from_json(obj: dict, field: str = "rho") -> np.ndarray:
     for key in ("re", "im"):
-        if key not in obj:
-            raise DatasetFormatError(f'missing "{key}" array', field="rho")
+        if not isinstance(obj, dict) or key not in obj:
+            raise DatasetFormatError(f'missing "{key}" array', field=field)
     rho = np.asarray(obj["re"], dtype=float) + 1j * np.asarray(obj["im"], dtype=float)
     return validate_density_matrix(rho)
 
@@ -111,13 +111,22 @@ def dataset_to_dict(ds: TomographyDataset) -> dict:
     }
 
 
-def load_dataset(path) -> TomographyDataset:
+def _load_json(path):
+    """The JSON value in file ``path``; text that is not JSON is an error naming the file."""
     with open(path, encoding="utf-8") as fh:
         try:
-            obj = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
-            raise DatasetFormatError(f"not valid JSON: {exc}", field="$") from exc
-    return dataset_from_dict(obj)
+            raise DatasetFormatError(f"not valid JSON: {exc}", field=str(path)) from exc
+
+
+def load_dataset(path) -> TomographyDataset:
+    return dataset_from_dict(_load_json(path))
+
+
+def load_density_matrix(path) -> np.ndarray:
+    """The state in JSON file ``path``; a file that is not JSON or lacks an array is named."""
+    return density_matrix_from_json(_load_json(path), field=f"{path}: rho")
 
 
 def save_dataset(ds: TomographyDataset, path) -> None:

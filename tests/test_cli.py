@@ -382,6 +382,34 @@ class TestCompare:
         assert len(rows) == 21  # header + 20 rows
 
 
+_STATE_COMMANDS = {
+    "bases": ["bases", "--rho0-file", "{file}"],
+    "model": ["model", "--log", "--nbar-grid", "1e-3:0.1:3", "--rho0-file", "{file}"],
+    "compare": ["compare", "--rho0-file", "{file}", "--out-dir", "{dir}"],
+}
+_NOT_JSON = ('{"rows": ', "not valid JSON: Expecting value: line 1 column 10 (char 9)")
+_BAD_FILES = {"not_json": _NOT_JSON, "no_re": ('{"im": [[0]]}', 'rho: missing "re" array'),
+              "number": ("5", 'rho: missing "re" array')}
+
+
+class TestInputFiles:
+    """A state or dataset file that cannot be read as one names the file."""
+
+    @pytest.mark.parametrize("argv,text,cause", [
+        *((argv, *_BAD_FILES[kind]) for argv in _STATE_COMMANDS.values() for kind in _BAD_FILES),
+        (["reconstruct", "{file}"], *_NOT_JSON),
+    ], ids=[*(f"{command}-{kind}" for command in _STATE_COMMANDS for kind in _BAD_FILES),
+            "reconstruct-not_json"])
+    def test_unreadable_file_is_named(self, tmp_path, capsys, argv, text, cause):
+        bad = tmp_path / "input.json"
+        bad.write_text(text)
+        out_dir = tmp_path / "out"
+        assert main([arg.format(file=bad, dir=out_dir) for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out_dir.exists()
+        assert captured.err == f"error: {bad}: {cause}\n"
+
+
 class TestParser:
     """One parser serves every ``main`` call of a process."""
 
