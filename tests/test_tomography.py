@@ -651,7 +651,7 @@ class TestRoundoffZeroWeights:
                 assert (ket.conj() @ rec.rho @ ket).real >= 1.0 - 1e-12
         assert tiny == 592
 
-    def test_zeroed_weights_leave_the_likelihood_scale(self):
+    def test_tiny_weights_fit_as_zero_weights(self):
         # the zeroed weights drop out of the likelihood as zero counts do
         freqs = SETTINGS.born_probabilities(werner_mix(PHI_PLUS, 0.2))
         tiny = freqs.copy()
