@@ -521,8 +521,8 @@ def _interior_newton(settings: TomographySettings, w: np.ndarray,
 
     ``w`` is a (B, 36) stack of weights of any scale and ``starts`` the
     states to step from; ``_start_states`` passes exactly its mixed rows,
-    none of which is certified, so every row takes steps and no row's
-    gap is evaluated to choose them.  The steps work on the 15 traceless
+    whose estimates are not certified, so every row takes steps and no
+    row's gap is evaluated to choose them.  The steps work on the 15 traceless
     Pauli coordinates x of the state, whose probabilities are p = 1/4 +
     D x with D = ``settings._pauli_design``, so the trace stays 1
     without a multiplier.  Each step is a full Newton step of sum_k w_k
@@ -747,8 +747,8 @@ def mle_reconstruct(frequencies, settings: TomographySettings, *,
         start: the projected linear-inversion estimate of the
         frequencies if it is certified already, and otherwise that
         estimate mixed with 0.1 % of I/4, then full Newton steps, which
-        certify a fit whose optimum is interior.  Either way such a fit
-        certifies at 0 iterations, as do exact frequencies of a state.
+        certify a fit whose optimum is interior.  Such a fit, like one of
+        exact frequencies of a state, certifies at 0 iterations.
     on_iteration : callable, optional
         Called as ``on_iteration(iteration, log_likelihood)`` after every
         accepted update (likelihoods are per unit weight, nondecreasing).
