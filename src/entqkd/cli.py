@@ -305,7 +305,7 @@ def main(argv=None) -> int:
     command = globals()[args.func.__name__]
     try:
         return command(args)
-    except (dataio.DatasetFormatError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except tomography.ConvergenceError as exc:

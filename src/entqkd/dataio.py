@@ -9,6 +9,10 @@ with exactly one entry per ordered projection pair.  Input order is
 irrelevant (entries are keyed by the pair); output is canonicalized to
 row-major H, V, D, A, R, L order.  Density matrices serialize as
 {"re": 4x4, "im": 4x4} row-major in the |HH>, |HV>, |VH>, |VV> basis.
+
+Every input file (a state, a dataset or a reference table) is read by
+``_read_json``, so any error about one starts with the file's name; the
+parsers it calls name only the offending field.
 """
 
 from __future__ import annotations
@@ -26,7 +30,12 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 class DatasetFormatError(ValueError):
-    """Schema violation in a dataset file; ``field`` names the offender."""
+    """Schema violation in an input file; ``field`` names the offender.
+
+    The parsers name a field of the JSON value; ``_read_json`` raises one
+    of these for every failure of a file it reads, with the file as
+    ``field``.
+    """
 
     def __init__(self, message: str, field: str = ""):
         super().__init__(f"{field}: {message}" if field else message)
@@ -38,10 +47,10 @@ def density_matrix_to_json(rho: np.ndarray) -> dict:
     return {"re": rho.real.tolist(), "im": rho.imag.tolist()}
 
 
-def density_matrix_from_json(obj: dict, field: str = "rho") -> np.ndarray:
+def density_matrix_from_json(obj: dict) -> np.ndarray:
     for key in ("re", "im"):
         if not isinstance(obj, dict) or key not in obj:
-            raise DatasetFormatError(f'missing "{key}" array', field=field)
+            raise DatasetFormatError(f'missing "{key}" array', field="rho")
     rho = np.asarray(obj["re"], dtype=float) + 1j * np.asarray(obj["im"], dtype=float)
     return validate_density_matrix(rho)
 
@@ -49,7 +58,7 @@ def density_matrix_from_json(obj: dict, field: str = "rho") -> np.ndarray:
 def dataset_from_dict(obj: dict) -> TomographyDataset:
     """Parse and validate a dataset object, reporting the offending field."""
     if not isinstance(obj, dict):
-        raise DatasetFormatError("dataset must be a JSON object", field="$")
+        raise DatasetFormatError("dataset must be a JSON object")
     for key in ("tau_s", "duration_s", "measurements"):
         if key not in obj:
             raise DatasetFormatError("missing required field", field=key)
@@ -92,11 +101,8 @@ def dataset_from_dict(obj: dict) -> TomographyDataset:
     if missing:
         raise DatasetFormatError(f"missing projection pairs: {missing}", field="measurements")
     counts = np.array([by_pair[pair] for pair in settings.pairs], dtype=np.int64)
-    try:
-        return TomographyDataset(settings=settings, counts=counts,
-                                 tau_s=float(obj["tau_s"]), duration_s=float(obj["duration_s"]))
-    except ValueError as exc:
-        raise DatasetFormatError(str(exc), field="$") from exc
+    return TomographyDataset(settings=settings, counts=counts,
+                             tau_s=float(obj["tau_s"]), duration_s=float(obj["duration_s"]))
 
 
 def dataset_to_dict(ds: TomographyDataset) -> dict:
@@ -111,22 +117,30 @@ def dataset_to_dict(ds: TomographyDataset) -> dict:
     }
 
 
-def _load_json(path):
-    """The JSON value in file ``path``; text that is not JSON is an error naming the file."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DatasetFormatError(f"not valid JSON: {exc}", field=str(path)) from exc
+def _read_json(path, parse):
+    """parse(the JSON value in file ``path``), the one reader of input files.
+
+    Any ValueError on the way (bytes that are not UTF-8, text that is not
+    JSON, a schema violation or a failed validation) leaves as one
+    DatasetFormatError whose message starts with ``path``.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            obj = json.load(fh)
+        return parse(obj)
+    except json.JSONDecodeError as exc:
+        raise DatasetFormatError(f"not valid JSON: {exc}", field=str(path)) from exc
+    except ValueError as exc:
+        raise DatasetFormatError(str(exc), field=str(path)) from exc
 
 
 def load_dataset(path) -> TomographyDataset:
-    return dataset_from_dict(_load_json(path))
+    return _read_json(path, dataset_from_dict)
 
 
 def load_density_matrix(path) -> np.ndarray:
-    """The state in JSON file ``path``; a file that is not JSON or lacks an array is named."""
-    return density_matrix_from_json(_load_json(path), field=f"{path}: rho")
+    """The state in JSON file ``path``; any error names the file."""
+    return _read_json(path, density_matrix_from_json)
 
 
 def save_dataset(ds: TomographyDataset, path) -> None:

@@ -7,6 +7,9 @@ consistency: recomputing r_DW from the printed (S, Q) and R_key from
 r_DW * r_C must agree with the printed numbers within half a unit of
 the printed resolution plus the quoted one-sigma uncertainty.  Printed
 zeros must come out exactly zero under the clamped rate.
+
+A table file is read by ``dataio._read_json``, which names the file in
+any error; the parsers here name only the field, e.g. ``rows[0].r_c``.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 
+from .dataio import _read_json
 from .metrics import devetak_winter, key_rate
 
 _BUNDLED = "reference_table.json"
@@ -72,31 +76,30 @@ class RowCheck:
         return self.r_dw_ok and self.r_key_ok
 
 
-def _object(source: str, obj, where: str, keys) -> dict:
-    """obj, a JSON object holding ``keys``; ValueError names the file and the field."""
+def _object(obj, where: str, keys) -> dict:
+    """obj, a JSON object holding ``keys``; ValueError names the field."""
     if not isinstance(obj, dict):
-        raise ValueError(f"{source}: {where or 'the table'} must be a JSON object")
+        raise ValueError(f"{where or 'the table'} must be a JSON object")
     if not obj.keys() >= set(keys):
         missing = next(key for key in keys if key not in obj)
-        raise ValueError(f"{source}: {where}{'.' if where else ''}{missing} is missing")
+        raise ValueError(f"{where}{'.' if where else ''}{missing} is missing")
     return obj
 
 
-def _rows_from_obj(obj, source: str) -> list[ReferenceRow]:
-    rows = _object(source, obj, "", ("rows",))["rows"]
+def _rows_from_obj(obj) -> list[ReferenceRow]:
+    rows = _object(obj, "", ("rows",))["rows"]
     if not isinstance(rows, list):
-        raise ValueError(f"{source}: rows must be a list")
+        raise ValueError("rows must be a list")
     out = []
     for i, row in enumerate(rows):
         where = f"rows[{i}]"
-        values = [_object(source, row, where, _ROW_FIELDS)["tau_ns"]]
+        values = [_object(row, where, _ROW_FIELDS)["tau_ns"]]
         for name in _ROW_FIELDS[1:]:
-            printed = _object(source, row[name], f"{where}.{name}", _PRINTED_FIELDS)
+            printed = _object(row[name], f"{where}.{name}", _PRINTED_FIELDS)
             values += (printed["value"], printed["sigma"], printed["resolution"])
         for field, value in zip(_NUMBER_FIELDS, values):
             if type(value) not in (int, float) or not math.isfinite(value):
-                raise ValueError(f"{source}: {where}.{field} must be a finite number, "
-                                 f"got {value!r}")
+                raise ValueError(f"{where}.{field} must be a finite number, got {value!r}")
         numbers = [float(value) for value in values]
         out.append(ReferenceRow(numbers[0], *(Measured(*numbers[k:k + 3]) for k in range(1, 16, 3))))
     return out
@@ -105,7 +108,7 @@ def _rows_from_obj(obj, source: str) -> list[ReferenceRow]:
 def load_reference_table(path=None) -> list[ReferenceRow]:
     """Load the bundled table, or a table file of the same schema.
 
-    A file that is not JSON or does not follow the schema (a missing
+    A file that cannot be read as a table (not UTF-8, not JSON, a missing
     field, a value that is not a finite number, rows that are not a list
     of objects) raises ValueError naming the file and, for the schema,
     the field, e.g. ``rows[0].r_c``.
@@ -114,13 +117,8 @@ def load_reference_table(path=None) -> list[ReferenceRow]:
         # data/ is a directory of the package, not a package: resources.files of it
         # as a namespace package fails when entqkd is imported from a zip file
         text = (resources.files("entqkd") / "data" / _BUNDLED).read_text(encoding="utf-8")
-        return _rows_from_obj(json.loads(text), _BUNDLED)
-    with open(path, encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: not a JSON file: {exc}") from exc
-    return _rows_from_obj(obj, str(path))
+        return _rows_from_obj(json.loads(text))
+    return _read_json(path, _rows_from_obj)
 
 
 def check_row(row: ReferenceRow) -> RowCheck:

@@ -155,7 +155,8 @@ class TestReconstruct:
         ds_path.write_text(json.dumps(obj))  # writes Infinity / NaN, which json.load accepts
         out = tmp_path / "report.json"
         assert main(["reconstruct", str(ds_path), "--mc", "5", "--out", str(out)]) == 2
-        assert f"error: {field}: must be positive and finite" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err == f"error: {ds_path}: {field}: must be positive and finite\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("flag,value,requirement", [
@@ -186,7 +187,8 @@ class TestReconstruct:
         ds_path = tmp_path / "huge.json"
         ds_path.write_text(json.dumps(obj))
         assert main(["reconstruct", str(ds_path)]) == 2
-        assert "error: measurements[4].count: count must be at most" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(
+            f"error: {ds_path}: measurements[4].count: count must be at most ")
 
 
 class TestModel:
@@ -317,7 +319,7 @@ class TestBases:
         rho_path = tmp_path / "nan.json"
         rho_path.write_text(json.dumps({"re": rho.tolist(), "im": np.zeros((4, 4)).tolist()}))
         assert main(["bases", "--rho0-file", str(rho_path)]) == 2
-        assert "error: rho has non-finite entries" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {rho_path}: rho has non-finite entries\n"
 
     def test_maximally_mixed_rejected(self, tmp_path, capsys):
         rho_path = tmp_path / "mixed.json"
@@ -392,8 +394,26 @@ _BAD_FILES = {"not_json": _NOT_JSON, "no_re": ('{"im": [[0]]}', 'rho: missing "r
               "number": ("5", 'rho: missing "re" array')}
 
 
+def _dataset_bytes(change) -> bytes:
+    obj = {"tau_s": 1e-9, "duration_s": 1.0,
+           "measurements": [{"a": a, "b": b, "count": 100} for a, b in SETTINGS.pairs]}
+    change(obj)
+    return json.dumps(obj).encode()  # writes Infinity, which json.load accepts
+
+
+def _nan_state_bytes() -> bytes:
+    rho = np.eye(4) / 4
+    rho[0, 1] = rho[1, 0] = math.nan
+    return json.dumps({"re": rho.tolist(), "im": np.zeros((4, 4)).tolist()}).encode()
+
+
+_NOT_UTF8 = (b"\xff\xfe{}", "'utf-8' codec can't decode byte 0xff in position 0: "
+             "invalid start byte")
+_RECONSTRUCT = ["reconstruct", "{file}"]
+
+
 class TestInputFiles:
-    """A state or dataset file that cannot be read as one names the file."""
+    """A state, dataset or table file that cannot be read as one names the file."""
 
     @pytest.mark.parametrize("argv,text,cause", [
         *((argv, *_BAD_FILES[kind]) for argv in _STATE_COMMANDS.values() for kind in _BAD_FILES),
@@ -403,6 +423,31 @@ class TestInputFiles:
     def test_unreadable_file_is_named(self, tmp_path, capsys, argv, text, cause):
         bad = tmp_path / "input.json"
         bad.write_text(text)
+        out_dir = tmp_path / "out"
+        assert main([arg.format(file=bad, dir=out_dir) for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out_dir.exists()
+        assert captured.err == f"error: {bad}: {cause}\n"
+
+    @pytest.mark.parametrize("argv,content,cause", [
+        *(pytest.param(argv, _nan_state_bytes(), "rho has non-finite entries",
+                       id=f"{command}-nan") for command, argv in _STATE_COMMANDS.items()),
+        pytest.param(_RECONSTRUCT, _dataset_bytes(lambda d: d.update(duration_s=math.inf)),
+                     "duration_s: must be positive and finite", id="reconstruct-infinite"),
+        pytest.param(_RECONSTRUCT,
+                     _dataset_bytes(lambda d: d["measurements"][4].update(count=2 ** 70)),
+                     f"measurements[4].count: count must be at most {2 ** 63 - 1}",
+                     id="reconstruct-huge_count"),
+        pytest.param(_RECONSTRUCT, _dataset_bytes(lambda d: d.update(duration_s=1e-10)),
+                     "duration_s must be at least tau_s (need N_win >= 1)",
+                     id="reconstruct-short"),
+        pytest.param(_RECONSTRUCT, *_NOT_UTF8, id="reconstruct-not_utf8"),
+        pytest.param(["table-check", "{file}"], *_NOT_UTF8, id="table-check-not_utf8"),
+    ])
+    def test_invalid_file_is_named(self, tmp_path, capsys, argv, content, cause):
+        # the file decodes and parses but fails validation, or does not decode at all
+        bad = tmp_path / "input.json"
+        bad.write_bytes(content)
         out_dir = tmp_path / "out"
         assert main([arg.format(file=bad, dir=out_dir) for arg in argv]) == 2
         captured = capsys.readouterr()
@@ -470,7 +515,7 @@ class TestTableCheck:
         ("null value", "rows[2].q.value must be a finite number, got None"),
         ("NaN value", "rows[1].s.sigma must be a finite number, got nan"),
         ("top-level list", "the table must be a JSON object"),
-        ("cut short", "not a JSON file: Expecting value: line 1 column 10 (char 9)"),
+        ("cut short", "not valid JSON: Expecting value: line 1 column 10 (char 9)"),
     ])
     def test_malformed_table_is_invalid_input(self, tmp_path, capsys, case, field):
         # exit 1 means an inconsistent row; a file that is not a table is invalid input
