@@ -48,11 +48,20 @@ def density_matrix_to_json(rho: np.ndarray) -> dict:
 
 
 def density_matrix_from_json(obj: dict) -> np.ndarray:
-    for key in ("re", "im"):
-        if not isinstance(obj, dict) or key not in obj:
-            raise DatasetFormatError(f'missing "{key}" array', field="rho")
-    rho = np.asarray(obj["re"], dtype=float) + 1j * np.asarray(obj["im"], dtype=float)
-    return validate_density_matrix(rho)
+    return validate_density_matrix(_matrix_part(obj, "re") + 1j * _matrix_part(obj, "im"))
+
+
+def _matrix_part(obj, key: str) -> np.ndarray:
+    """obj[key] as floats; anything but a 4 x 4 array of numbers names ``key``."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise DatasetFormatError(f'missing "{key}" array', field="rho")
+    try:
+        part = np.asarray(obj[key])
+    except ValueError:  # ragged nested lists
+        part = np.asarray(None)
+    if part.shape != (4, 4) or part.dtype.kind not in "if":
+        raise DatasetFormatError("must be a 4 x 4 array of numbers", field=key)
+    return part.astype(float)
 
 
 def dataset_from_dict(obj: dict) -> TomographyDataset:

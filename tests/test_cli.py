@@ -401,10 +401,18 @@ def _dataset_bytes(change) -> bytes:
     return json.dumps(obj).encode()  # writes Infinity, which json.load accepts
 
 
-def _nan_state_bytes() -> bytes:
-    rho = np.eye(4) / 4
-    rho[0, 1] = rho[1, 0] = math.nan
-    return json.dumps({"re": rho.tolist(), "im": np.zeros((4, 4)).tolist()}).encode()
+def _state_bytes(re, im) -> bytes:
+    return json.dumps({"re": re, "im": im}).encode()
+
+
+_NAN_RE = (np.eye(4) / 4).tolist()
+_NAN_RE[0][1] = _NAN_RE[1][0] = math.nan
+_INVALID_STATES = {
+    "nan": (_state_bytes(_NAN_RE, np.zeros((4, 4)).tolist()), "rho has non-finite entries"),
+    "objects": (_state_bytes({}, {}), "re: must be a 4 x 4 array of numbers"),
+    "im_2x2": (_state_bytes((np.eye(4) / 4).tolist(), np.zeros((2, 2)).tolist()),
+               "im: must be a 4 x 4 array of numbers"),
+}
 
 
 _NOT_UTF8 = (b"\xff\xfe{}", "'utf-8' codec can't decode byte 0xff in position 0: "
@@ -430,8 +438,8 @@ class TestInputFiles:
         assert captured.err == f"error: {bad}: {cause}\n"
 
     @pytest.mark.parametrize("argv,content,cause", [
-        *(pytest.param(argv, _nan_state_bytes(), "rho has non-finite entries",
-                       id=f"{command}-nan") for command, argv in _STATE_COMMANDS.items()),
+        *(pytest.param(argv, *_INVALID_STATES[kind], id=f"{command}-{kind}")
+          for command, argv in _STATE_COMMANDS.items() for kind in _INVALID_STATES),
         pytest.param(_RECONSTRUCT, _dataset_bytes(lambda d: d.update(duration_s=math.inf)),
                      "duration_s: must be positive and finite", id="reconstruct-infinite"),
         pytest.param(_RECONSTRUCT,

@@ -38,6 +38,21 @@ class TestDensityMatrixJson:
         with pytest.raises(DatasetFormatError):
             density_matrix_from_json({"re": np.eye(4).tolist()})
 
+    @pytest.mark.parametrize("re,im,field", [
+        ({}, {}, "re"),
+        (np.eye(4) / 4, np.zeros((2, 2)), "im"),
+        ([[0.25, 0.0], [0.0]], np.zeros((4, 4)), "re"),
+        (np.full((4, 4), "0"), np.zeros((4, 4)), "re"),
+        (np.full((4, 4), True), np.zeros((4, 4)), "re"),
+        (np.eye(4) / 4, None, "im"),
+    ])
+    def test_parts_must_be_4x4_arrays_of_numbers(self, re, im, field):
+        obj = {"re": np.asarray(re).tolist() if isinstance(re, np.ndarray) else re,
+               "im": np.asarray(im).tolist() if isinstance(im, np.ndarray) else im}
+        with pytest.raises(DatasetFormatError, match="must be a 4 x 4 array of numbers") as err:
+            density_matrix_from_json(obj)
+        assert err.value.field == field
+
 
 class TestDatasetParsing:
     def test_round_trip_preserves_values(self):
