@@ -20,15 +20,14 @@ that ``entqkd compare`` writes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import metrics, tomography
 from .numeric import bisect_root, check_range, golden_section_max
-from .spdc import (MODEL_CSV_HEADER, _expm1_ratio, _model_point, coincidence_rate_exact,
-                   kappa_approx, kappa_exact, model_curve)
+from .spdc import (MODEL_CSV_HEADER, _key_rate_per_transmittance, _model_point,
+                   coincidence_rate_exact, kappa_approx, kappa_exact, model_curve)
 from .states import bell_state, werner_mix
 
 #: Rounded CW-source key-rate bound used for the comparison thresholds
@@ -64,18 +63,6 @@ class QdThreshold:
     noise_model: str
     r_dw: float
     r_c_threshold: float
-
-
-def _key_rate_per_transmittance(n_bar: float, eta_a: float, eta_b: float) -> float:
-    """R_key / (eta_a eta_b), which stays normal where R_key itself underflows.
-
-    With g(t) = expm1(t)/t, r_C / (eta_a eta_b) is
-    n^2 g(-eta_a n) g(-eta_b n) + e^{-(eta_a + eta_b) n} n g(eta_a eta_b n).
-    """
-    r_c_scaled = (n_bar * n_bar * _expm1_ratio(-eta_a * n_bar) * _expm1_ratio(-eta_b * n_bar)
-                  + math.exp(-(eta_a + eta_b) * n_bar) * n_bar
-                  * _expm1_ratio(eta_a * eta_b * n_bar))
-    return _model_point(n_bar, eta_a, eta_b).r_dw * r_c_scaled
 
 
 def optimize_gain(eta_a: float, eta_b: float) -> GainOptimum:

@@ -173,6 +173,21 @@ def coincidence_rate_exact(n_bar: float, eta_a: float, eta_b: float) -> float:
     return math.expm1(-x) * math.expm1(-y) + math.exp(-(x + y)) * math.expm1(eta_a * y)
 
 
+def _key_rate_per_transmittance(n_bar: float, eta_a: float, eta_b: float) -> float:
+    """R_key / (eta_a eta_b), which stays normal where R_key itself underflows.
+
+    kappa_exact -> (S, Q) -> Devetak-Winter rate, times r_C / (eta_a eta_b):
+    coincidence_rate_exact's grouping divided through, with
+    g(t) = expm1(t)/t, is n^2 g(-eA n) g(-eB n) + e^{-(eA+eB) n} n g(eA eB n).
+    The search objective of ``optimize.optimize_gain``.
+    """
+    s, q = metrics.s_q_from_kappa(kappa_exact(n_bar, eta_a, eta_b))
+    r_c_scaled = (n_bar * n_bar * _expm1_ratio(-eta_a * n_bar) * _expm1_ratio(-eta_b * n_bar)
+                  + math.exp(-(eta_a + eta_b) * n_bar) * n_bar
+                  * _expm1_ratio(eta_a * eta_b * n_bar))
+    return metrics.devetak_winter(s, q) * r_c_scaled
+
+
 def effective_state(params: SourceParams, rho_b: np.ndarray) -> np.ndarray:
     """Effective two-qubit state of the source: rho_b mixed with white noise."""
     kappa = kappa_exact(params.n_bar, params.eta_a, params.eta_b)
