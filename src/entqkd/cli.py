@@ -12,9 +12,10 @@ compare      CSV series contrasting the CW source bound with ideal and
 table-check  Internal-consistency check of the bundled reference table.
 
 Exit codes: 0 success, 1 ``table-check`` found an inconsistent row,
-2 invalid input (a malformed table file among it), 3 a reconstruction
-did not converge (``reconstruct`` still writes its report; ``model``
-and ``compare`` write no CSV).  All outputs are deterministic given the
+2 invalid input (a malformed table file among it; an error about an
+input file starts with the file's name), 3 a reconstruction did not
+converge (``reconstruct`` still writes its report; ``model`` and
+``compare`` write no CSV).  All outputs are deterministic given the
 flags and seed.
 
 Each command parses its flags, makes one library call and writes what
