@@ -15,7 +15,7 @@ any error; the parsers here name only the field, e.g. ``rows[0].r_c``.
 from __future__ import annotations
 
 import json
-import math
+import sys
 from dataclasses import dataclass
 from importlib import resources
 
@@ -98,7 +98,8 @@ def _rows_from_obj(obj) -> list[ReferenceRow]:
             printed = _object(row[name], f"{where}.{name}", _PRINTED_FIELDS)
             values += (printed["value"], printed["sigma"], printed["resolution"])
         for field, value in zip(_NUMBER_FIELDS, values):
-            if type(value) not in (int, float) or not math.isfinite(value):
+            # NaN fails the comparison; it also refuses integers beyond float range
+            if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
                 raise ValueError(f"{where}.{field} must be a finite number, got {value!r}")
         numbers = [float(value) for value in values]
         out.append(ReferenceRow(numbers[0], *(Measured(*numbers[k:k + 3]) for k in range(1, 16, 3))))

@@ -522,6 +522,9 @@ class TestTableCheck:
         ("row without r_c", "rows[0].r_c is missing"),
         ("null value", "rows[2].q.value must be a finite number, got None"),
         ("NaN value", "rows[1].s.sigma must be a finite number, got nan"),
+        pytest.param("integer beyond float range",
+                     f"rows[0].s.value must be a finite number, got {10 ** 400}",
+                     id="integer beyond float range"),
         ("top-level list", "the table must be a JSON object"),
         ("cut short", "not valid JSON: Expecting value: line 1 column 10 (char 9)"),
     ])
@@ -538,6 +541,8 @@ class TestTableCheck:
             obj["rows"][2]["q"]["value"] = None
         elif case == "NaN value":
             obj["rows"][1]["s"]["sigma"] = math.nan
+        elif case == "integer beyond float range":
+            obj["rows"][0]["s"]["value"] = 10 ** 400
         elif case == "top-level list":
             obj = obj["rows"]
         bad = tmp_path / "table.json"
