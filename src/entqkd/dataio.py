@@ -32,9 +32,9 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 class DatasetFormatError(ValueError):
     """Schema violation in an input file; ``field`` names the offender.
 
-    The parsers name a field of the JSON value; ``_read_json`` raises one
-    of these for every failure of a file it reads, with the file as
-    ``field``.
+    The parsers name a field of the JSON value; ``_read_json`` turns every
+    ValueError raised while it reads a file into one of these, with the
+    file as ``field``.
     """
 
     def __init__(self, message: str, field: str = ""):
@@ -48,6 +48,7 @@ def density_matrix_to_json(rho: np.ndarray) -> dict:
 
 
 def density_matrix_from_json(obj: dict) -> np.ndarray:
+    """The validated state in ``obj``, {"re": 4x4, "im": 4x4} arrays of numbers."""
     return validate_density_matrix(_matrix_part(obj, "re") + 1j * _matrix_part(obj, "im"))
 
 
@@ -65,7 +66,7 @@ def _matrix_part(obj, key: str) -> np.ndarray:
 
 
 def dataset_from_dict(obj: dict) -> TomographyDataset:
-    """Parse and validate a dataset object, reporting the offending field."""
+    """Parse and validate a dataset object; a schema violation names its field."""
     if not isinstance(obj, dict):
         raise DatasetFormatError("dataset must be a JSON object")
     for key in ("tau_s", "duration_s", "measurements"):

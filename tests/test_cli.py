@@ -420,6 +420,17 @@ _NOT_UTF8 = (b"\xff\xfe{}", "'utf-8' codec can't decode byte 0xff in position 0:
 _RECONSTRUCT = ["reconstruct", "{file}"]
 
 
+def _exits_2_naming_the_file(tmp_path, capsys, argv, content: bytes, cause: str) -> None:
+    """argv on a file holding ``content`` exits 2 with ``error: FILE: cause`` and no output."""
+    bad = tmp_path / "input.json"
+    bad.write_bytes(content)
+    out_dir = tmp_path / "out"
+    assert main([arg.format(file=bad, dir=out_dir) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out_dir.exists()
+    assert captured.err == f"error: {bad}: {cause}\n"
+
+
 class TestInputFiles:
     """A state, dataset or table file that cannot be read as one names the file."""
 
@@ -429,13 +440,7 @@ class TestInputFiles:
     ], ids=[*(f"{command}-{kind}" for command in _STATE_COMMANDS for kind in _BAD_FILES),
             "reconstruct-not_json"])
     def test_unreadable_file_is_named(self, tmp_path, capsys, argv, text, cause):
-        bad = tmp_path / "input.json"
-        bad.write_text(text)
-        out_dir = tmp_path / "out"
-        assert main([arg.format(file=bad, dir=out_dir) for arg in argv]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and not out_dir.exists()
-        assert captured.err == f"error: {bad}: {cause}\n"
+        _exits_2_naming_the_file(tmp_path, capsys, argv, text.encode(), cause)
 
     @pytest.mark.parametrize("argv,content,cause", [
         *(pytest.param(argv, *_INVALID_STATES[kind], id=f"{command}-{kind}")
@@ -454,13 +459,7 @@ class TestInputFiles:
     ])
     def test_invalid_file_is_named(self, tmp_path, capsys, argv, content, cause):
         # the file decodes and parses but fails validation, or does not decode at all
-        bad = tmp_path / "input.json"
-        bad.write_bytes(content)
-        out_dir = tmp_path / "out"
-        assert main([arg.format(file=bad, dir=out_dir) for arg in argv]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and not out_dir.exists()
-        assert captured.err == f"error: {bad}: {cause}\n"
+        _exits_2_naming_the_file(tmp_path, capsys, argv, content, cause)
 
 
 class TestParser:
