@@ -132,7 +132,8 @@ def _read_json(path, parse):
 
     Any ValueError on the way (bytes that are not UTF-8, text that is not
     JSON, a schema violation or a failed validation) leaves as one
-    DatasetFormatError whose message starts with ``path``.
+    DatasetFormatError whose message starts with ``path``, and so does
+    the RecursionError of arrays or objects nested too deep to decode.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -140,7 +141,7 @@ def _read_json(path, parse):
         return parse(obj)
     except json.JSONDecodeError as exc:
         raise DatasetFormatError(f"not valid JSON: {exc}", field=str(path)) from exc
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise DatasetFormatError(str(exc), field=str(path)) from exc
 
 

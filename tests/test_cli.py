@@ -455,10 +455,14 @@ class TestInputFiles:
                      "duration_s must be at least tau_s (need N_win >= 1)",
                      id="reconstruct-short"),
         pytest.param(_RECONSTRUCT, *_NOT_UTF8, id="reconstruct-not_utf8"),
+        pytest.param(_RECONSTRUCT, b"[" * 100_000 + b"]" * 100_000,
+                     "maximum recursion depth exceeded while decoding a JSON array "
+                     "from a unicode string", id="reconstruct-nested_too_deep"),
         pytest.param(["table-check", "{file}"], *_NOT_UTF8, id="table-check-not_utf8"),
     ])
     def test_invalid_file_is_named(self, tmp_path, capsys, argv, content, cause):
         # the file decodes and parses but fails validation, or does not decode at all
+        # (not UTF-8, or nested deeper than the JSON decoder recurses)
         _exits_2_naming_the_file(tmp_path, capsys, argv, content, cause)
 
 
