@@ -176,10 +176,10 @@ def coincidence_rate_exact(n_bar: float, eta_a: float, eta_b: float) -> float:
 def _key_rate_per_transmittance(n_bar: float, eta_a: float, eta_b: float) -> float:
     """R_key / (eta_a eta_b), which stays normal where R_key itself underflows.
 
-    kappa_exact -> (S, Q) -> Devetak-Winter rate, times r_C / (eta_a eta_b):
-    coincidence_rate_exact's grouping divided through, with
-    g(t) = expm1(t)/t, is n^2 g(-eA n) g(-eB n) + e^{-(eA+eB) n} n g(eA eB n).
-    The search objective of ``optimize.optimize_gain``.
+    The search objective of ``optimize.optimize_gain``: the Devetak-Winter
+    rate of kappa_exact's (S, Q), times r_C / (eta_a eta_b).  Dividing
+    coincidence_rate_exact's grouping through, with g(t) = expm1(t)/t,
+    the latter is n^2 g(-eA n) g(-eB n) + e^{-(eA+eB) n} n g(eA eB n).
     """
     s, q = metrics.s_q_from_kappa(kappa_exact(n_bar, eta_a, eta_b))
     r_c_scaled = (n_bar * n_bar * _expm1_ratio(-eta_a * n_bar) * _expm1_ratio(-eta_b * n_bar)

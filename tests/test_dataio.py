@@ -47,8 +47,7 @@ class TestDensityMatrixJson:
         (np.eye(4) / 4, None, "im"),
     ])
     def test_parts_must_be_4x4_arrays_of_numbers(self, re, im, field):
-        obj = {"re": np.asarray(re).tolist() if isinstance(re, np.ndarray) else re,
-               "im": np.asarray(im).tolist() if isinstance(im, np.ndarray) else im}
+        obj = json.loads(json.dumps({"re": re, "im": im}, default=np.ndarray.tolist))
         with pytest.raises(DatasetFormatError, match="must be a 4 x 4 array of numbers") as err:
             density_matrix_from_json(obj)
         assert err.value.field == field
