@@ -53,16 +53,20 @@ def density_matrix_from_json(obj: dict) -> np.ndarray:
 
 
 def _matrix_part(obj, key: str) -> np.ndarray:
-    """obj[key] as floats; anything but a 4 x 4 array of numbers names ``key``."""
+    """obj[key] as floats; anything but a 4 x 4 array of JSON numbers names ``key``.
+
+    JSON true and false are not numbers here, and neither is an integer
+    beyond float range; NaN and infinities pass, for validation to name.
+    """
     if not isinstance(obj, dict) or key not in obj:
         raise DatasetFormatError(f'missing "{key}" array', field="rho")
+    part = np.asarray(obj[key], dtype=object)
     try:
-        part = np.asarray(obj[key])
-    except ValueError:  # ragged nested lists
-        part = np.asarray(None)
-    if part.shape != (4, 4) or part.dtype.kind not in "if":
-        raise DatasetFormatError("must be a 4 x 4 array of numbers", field=key)
-    return part.astype(float)
+        if part.shape == (4, 4) and all(type(v) in (int, float) for v in part.flat):
+            return part.astype(float)
+    except OverflowError:  # an integer beyond float range
+        pass
+    raise DatasetFormatError("must be a 4 x 4 array of numbers", field=key)
 
 
 def dataset_from_dict(obj: dict) -> TomographyDataset:

@@ -44,6 +44,9 @@ class TestDensityMatrixJson:
         ([[0.25, 0.0], [0.0]], np.zeros((4, 4)), "re"),
         (np.full((4, 4), "0"), np.zeros((4, 4)), "re"),
         (np.full((4, 4), True), np.zeros((4, 4)), "re"),
+        ([[0.25, False, 0.0, 0.0], [False, 0.25, 0.0, 0.0], [0.0, 0.0, 0.25, 0.0],
+          [0.0, 0.0, 0.0, 0.25]], np.zeros((4, 4)), "re"),
+        (np.eye(4) / 4, [[10 ** 400] * 4] * 4, "im"),
         (np.eye(4) / 4, None, "im"),
     ])
     def test_parts_must_be_4x4_arrays_of_numbers(self, re, im, field):
