@@ -17,7 +17,10 @@ with Nesterov momentum, projected back onto the density matrices, with
 a backtracked step length and a momentum restart whenever a step would
 lower the likelihood, so accepted iterates are monotone.  It stops on
 the certified gap lambda_max(R) - 1, which bounds the log-likelihood
-per count that any state could still add.
+per count that any state could still add.  The public fits normalize
+their weights once, and everything below them takes normalized
+weights, so the start rule, the Newton steps and both ascents read
+this gap from one function (``_gaps``).
 
 Every fit starts from its own data by one rule (``_start_states``),
 for single fits and gain curves alike: the linear-inversion estimate
@@ -74,10 +77,6 @@ _MAX_ITERATIONS = 10000
 #: weight of I/4 mixed into a start that is not certified already, which keeps every
 #: setting's probability >= _START_MIX / 4
 _START_MIX = 1e-3
-#: a start keeps its estimate only if every observed probability is above this, far above
-#: the roundoff of a Born product of a unit-trace state (32 terms of size <= 1), so the
-#: solver's own product of the start is positive too
-_BORN_ROUNDOFF = 1e-13
 #: a weight at most this fraction of its row's largest is roundoff of an exact 0, as in
 #: Born products of a state that gives a setting probability 0, and counts as 0; a row of
 #: integer counts loses no count unless it holds more than 1e13 counts
@@ -273,6 +272,16 @@ def _certified(stop: str, gap: float) -> bool:
     return stop == "gap" or (stop == "floor" and gap <= _FLOOR_GAP)
 
 
+def _gaps(r_ops: np.ndarray) -> np.ndarray:
+    """The certified gap lambda_max(R) - 1 of one 4 x 4 R or of each of a stack.
+
+    R = sum_k (w_k / p_k) Pi_k for normalized weights w; the gap bounds the
+    log-likelihood per unit weight that any state could still add (Glancy,
+    Knill & Girard, NJP 14, 095017, 2012).
+    """
+    return np.linalg.eigvalsh(r_ops)[..., -1] - 1.0
+
+
 def _log_likelihood(c: np.ndarray, p: np.ndarray) -> float:
     mask = c > 0
     return float(np.sum(c[mask] * np.log(np.maximum(p[mask], _LL_FLOOR))))
@@ -347,16 +356,13 @@ def _accelerated_ascent(projectors_real, c, rho, max_iterations, on_iteration=No
     def gradient(p):
         return ((c / p) @ basis).view(complex).reshape(4, 4)
 
-    def gap_of(r_op):
-        return float(np.linalg.eigvalsh(r_op)[-1] - 1.0)
-
     rho = rho / np.trace(rho).real
     p = born(rho)
     if p.min() <= 0.0:
         raise ValueError("rho_start gives zero probability to a setting with counts")
     ll = float(c @ np.log(p))
     r_rho = gradient(p)
-    gap = gap_of(r_rho)
+    gap = float(_gaps(r_rho))
     sigma, p_sigma, r_sigma = rho, p, r_rho
     ahead = None  # sigma - rho, None while sigma is rho
     theta, step, failed_restarts = 1.0, _STEP_START, 0
@@ -384,7 +390,7 @@ def _accelerated_ascent(projectors_real, c, rho, max_iterations, on_iteration=No
                 ahead = (theta - 1.0) / theta_next * move if theta > 1.0 else None
                 rho, p, r_rho, theta = cand, p_cand, gradient(p_cand), theta_next
                 ll += gain
-                gap = gap_of(r_rho)
+                gap = float(_gaps(r_rho))
                 step *= _STEP_GROWTH
                 if on_iteration is not None:
                     on_iteration(iterations, ll)
@@ -456,42 +462,44 @@ def _projected_steps(sigma: np.ndarray, move: np.ndarray) -> np.ndarray:
 
 
 def _start_states(settings: TomographySettings, w: np.ndarray) -> np.ndarray:
-    """Starting states for a (B, 36) stack of weights, shape (B, 4, 4).
+    """Starting states for a (B, 36) stack of normalized weights, shape (B, 4, 4).
 
-    This is the start rule of every fit that starts from its own data.
+    This is the start rule of every fit that starts from its own data,
+    and it takes the weights those fits take: ``_kept_weights`` of the
+    input, each row normalized.
     Each complementary quadruple is normalized to unit sum (an all-zero
     one gets 1/4 per setting) and inverted linearly by
     ``settings.linear_inversion``, and the estimate is projected onto the
     density matrices as the step from I/4 to it, by
     ``_projected_steps``, then made exactly Hermitian.  A row starts at
     that estimate if it is certified already: it gives every setting of
-    positive weight a probability above ``_BORN_ROUNDOFF``, and its gap
-    is at most ``_TOL``, which bounds every ratio c_k / p_k of the
-    gradient by 1 + ``_TOL``.  Exact frequencies of a state pass once
+    positive weight a positive probability, and its gap (``_gaps``) is
+    at most ``_TOL``, which bounds every ratio w_k / p_k of the gradient
+    by 1 + ``_TOL``.  Exact frequencies of a state pass, as
     ``_kept_weights`` has zeroed the roundoff of their exact zeros, so
-    their fit stops before its first step.  Every other row, which is
-    every row of noisy counts, gets ``_START_MIX`` of I/4 mixed in, so
-    every setting starts at a probability of at least ``_START_MIX / 4``
-    and any weight, even one the projection gave probability 0, can be
-    fitted; exactly these mixed rows then take ``_interior_newton``'s
-    full Newton steps, which certify the rows whose optimum is interior
-    and leave every other row at its mixed start, bit for bit.  The
-    weights may have any scale, and the rows are independent.
+    their fit stops before its first step; every weight it keeps is
+    above 1e-13 of its row's largest, so a certified start gives it a
+    probability far above the roundoff of a Born product, and the
+    solver's own product of the start is positive too.  Every other
+    row, which is every row of noisy counts, gets ``_START_MIX`` of I/4
+    mixed in, so every setting starts at a probability of at least
+    ``_START_MIX / 4`` and any weight, even one the projection gave
+    probability 0, can be fitted; exactly these mixed rows then take
+    ``_interior_newton``'s full Newton steps, which certify the rows
+    whose optimum is interior and leave every other row at its mixed
+    start, bit for bit.  The rows are independent.
     """
     sums = _quadruple_sums(w, settings)[:, settings.group_index]  # each setting's group sum
     f = np.divide(w, sums, out=np.full(w.shape, 0.25), where=sums > 0.0)
     estimate = (f @ settings.linear_inversion).view(complex).reshape(-1, 4, 4)
     starts = _EYE4 / 4.0 + _projected_steps(_EYE4 / 4.0, estimate - _EYE4 / 4.0)
     starts = (starts + starts.conj().swapaxes(1, 2)) / 2.0
-    p = _born_rows(settings.projectors_real, starts)
+    # the probabilities of unobserved settings are held at +inf, as in the ascent
+    p = _born_rows(settings.projectors_real, starts) + np.where(w > 0.0, 0.0, np.inf)
     # the rows whose estimate is certified already: every observed probability
-    # above roundoff, and the gap of the normalized weights, lambda_max(R) - 1,
-    # at most _TOL, taken on the weights as given
-    keeps = ((w <= 0.0) | (p > _BORN_ROUNDOFF)).all(axis=1)
-    c = w[keeps]
-    ratios = np.divide(c, p[keeps], out=np.zeros(c.shape), where=c > 0.0)
-    r_op = (ratios @ settings.projectors_real).view(complex).reshape(-1, 4, 4)
-    keeps[keeps] = np.linalg.eigvalsh(r_op)[:, -1] <= (1.0 + _TOL) * c.sum(axis=1)
+    # positive and the gap at most _TOL
+    keeps = p.min(axis=1) > 0.0
+    keeps[keeps] = _gaps(_ratio_operators(settings.projectors_real, w[keeps], p[keeps])) <= _TOL
     starts[~keeps] = _interior_newton(
         settings, w[~keeps], (1.0 - _START_MIX) * starts[~keeps] + _START_MIX / 4.0 * _EYE4)
     return starts
@@ -519,7 +527,7 @@ def _interior_newton(settings: TomographySettings, w: np.ndarray,
                      starts: np.ndarray) -> np.ndarray:
     """Certify fits whose optimum is interior by full Newton steps, shape (B, 4, 4).
 
-    ``w`` is a (B, 36) stack of weights of any scale and ``starts`` the
+    ``w`` is a (B, 36) stack of normalized weights and ``starts`` the
     states to step from; ``_start_states`` passes exactly its mixed rows,
     whose estimates are not certified, so every row takes steps and no
     row's gap is evaluated to choose them.  The steps work on the 15 traceless
@@ -529,7 +537,7 @@ def _interior_newton(settings: TomographySettings, w: np.ndarray,
     log p_k, (D^T diag(w / p^2) D) dx = D^T (w / p), without a line
     search.  A row keeps a step only if the new state is positive
     definite, every setting of positive weight keeps a positive
-    probability and the certified gap lambda_max(R) / sum(w) - 1 falls;
+    probability and the certified gap lambda_max(R) - 1 (``_gaps``) falls;
     the gap comes from the ascent's own Born product of the state scaled
     to unit trace, so the ascent reads the same gap.  A row leaves at the
     first step it cannot keep (a singular Hessian and a step that is not
@@ -546,10 +554,9 @@ def _interior_newton(settings: TomographySettings, w: np.ndarray,
     rho = starts / np.trace(starts, axis1=1, axis2=2).real[:, None, None]
     # the probabilities of unobserved settings are held at +inf, as in the ascent
     unobserved = np.where(w > 0.0, 0.0, np.inf)
-    # lambda_max(R) - total is the gap scaled by the row's total weight
-    rows, total = np.arange(len(w)), w.sum(axis=1)
+    rows = np.arange(len(w))
     p = _born_rows(projectors_real, rho) + unobserved
-    gap = np.linalg.eigvalsh(_ratio_operators(projectors_real, w, p))[:, -1] - total
+    gap = _gaps(_ratio_operators(projectors_real, w, p))
     x = _pauli_components(rho).reshape(-1, 16)[:, 1:]
     # a step off the likelihood's domain overflows or yields nan, which every test
     # below refuses
@@ -572,12 +579,12 @@ def _interior_newton(settings: TomographySettings, w: np.ndarray,
             r_op = _ratio_operators(projectors_real, w, np.where(keep[:, None], p_new, 1.0))
             keep &= np.isfinite(r_op).all(axis=(1, 2))
             r_op[~keep] = _EYE4
-            gap_new = np.linalg.eigvalsh(r_op)[:, -1] - total
+            gap_new = _gaps(r_op)
             keep &= gap_new < gap
-            done = keep & (gap_new <= _TOL * total)
+            done = keep & (gap_new <= _TOL)
             out[rows[done]] = cand[done]
             go = keep & ~done
-            rows, w, unobserved, total = rows[go], w[go], unobserved[go], total[go]
+            rows, w, unobserved = rows[go], w[go], unobserved[go]
             x, p, gap = x_new[go], p_new[go], gap_new[go]
     return out
 
@@ -626,7 +633,7 @@ def _accelerated_ascent_batch(projectors_real, c, rho, max_iterations):
     rho = rho / np.trace(rho, axis1=1, axis2=2).real[:, None, None]
     p = born(rho) + unobserved
     r_rho = gradient(w, p)
-    gap = np.linalg.eigvalsh(r_rho)[:, -1] - 1.0
+    gap = _gaps(r_rho)
     # sigma = rho + ahead, the point the next attempt steps from; ahead is
     # zero on rows without momentum
     sigma, p_sigma, r_sigma = rho.copy(), p.copy(), r_rho.copy()
@@ -710,7 +717,7 @@ def _accelerated_ascent_batch(projectors_real, c, rho, max_iterations):
                 ahead_on[acc] = on
                 r_a = gradient(w_a, p_a)
                 rho[acc], p[acc], r_rho[acc] = rho_a, p_a, r_a
-                gap[acc] = np.linalg.eigvalsh(r_a)[:, -1] - 1.0
+                gap[acc] = _gaps(r_a)
                 ahead[acc], sigma[acc], p_sigma[acc] = ahead_a, sigma_a, p_sigma_a
                 r_sigma[acc] = np.where(on[:, None, None], gradient(w_a, p_sigma_a), r_a)
     rho_out = (rho_out + rho_out.conj().swapaxes(1, 2)) / 2.0

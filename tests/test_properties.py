@@ -164,10 +164,11 @@ def test_fits_certify_and_recover_the_probabilities(rho, dephased):
     # certify or refuse: a converged fit carries its certificate and reproduces
     # its input.  A state whose optimum leaves settings at zero can meet the
     # floating-point floor first, near 1e-9 and on every solver path sometimes
-    # above 1e-8, and one whose frequencies span 270 decades can fail
-    # outright; both are refused.  Every fit starts from I/4, where the
-    # boundary guard acts: at their default start exact frequencies of a
-    # state certify before any step
+    # above 1e-8; it is refused.  So is a batched fit whose frequencies span
+    # 270 decades, which can fail outright: it bypasses the weight policy
+    # that mle_reconstruct applies (_kept_weights).  Every fit starts from
+    # I/4, where the boundary guard acts: at their default start exact
+    # frequencies of a state certify before any step
     born = np.maximum(SETTINGS.born_probabilities(rho), 0.0)  # roundoff can dip below 0
     stack = np.array([born, dephased])
     weights = stack / stack.sum(axis=1, keepdims=True)
@@ -192,15 +193,21 @@ def test_start_states_are_interior_density_matrices(w):
     # a start is the estimate when that is certified already, and otherwise
     # mixes in I/4 or is the certified state of Newton steps from there; a
     # certified start has lambda_max(R) <= 1 + 1e-10, so every setting with
-    # weight keeps a probability of at least its normalized weight over 1 + 1e-10
+    # weight keeps a probability of at least its normalized weight over 1 + 1e-10.
+    # _start_states takes the weights its callers fit: roundoff zeros set to 0
+    # (_kept_weights), then normalized; an all-zero row stays all zero
+    w = tomography._kept_weights(w)
+    sums = w.sum(axis=1, keepdims=True)
+    w = np.divide(w, sums, out=np.zeros(w.shape), where=sums > 0.0)
     for start, row_w in zip(tomography._start_states(SETTINGS, w), w):
         assert np.array_equal(start, start.conj().T)
         assert np.trace(start).real == pytest.approx(1.0, abs=1e-12)
         assert np.linalg.eigvalsh(start)[0] >= -1e-14
         mixed = np.linalg.eigvalsh(start)[0] >= tomography._START_MIX / 4.0 * (1.0 - 1e-9)
         assert mixed or helpers.likelihood_gap(row_w, start) <= 1e-10 + helpers.GAP_ROUNDOFF
-        # a kept estimate's probabilities are above 1e-13, so 1 % allows for the
-        # roundoff of two Born products of one state
+        # every weight left is above 1e-13 of its row's largest, so a kept estimate's
+        # probabilities are far above roundoff, and 1 % allows for the roundoff of two
+        # Born products of one state
         observed = row_w > 0.0
         floor = np.minimum(row_w[observed] / row_w.sum(), tomography._START_MIX / 4.0)
         assert np.all(SETTINGS.born_probabilities(start)[observed] >= 0.99 * floor)

@@ -517,9 +517,10 @@ class TestStartStates:
         # setting with counts at about 1e-3 of its frequency within its quadruple
         counts = np.random.default_rng(9).poisson(
             1e5 * SETTINGS.born_probabilities(werner_mix(PHI_PLUS, 0.001))).astype(float)
-        start = tomography._start_states(SETTINGS, counts[None])[0]
+        weights = counts[None] / counts.sum()  # _start_states takes normalized weights
+        start = tomography._start_states(SETTINGS, weights)[0]
         monkeypatch.setattr(tomography, "_START_MIX", 0.0)
-        estimate = tomography._start_states(SETTINGS, counts[None])[0]
+        estimate = tomography._start_states(SETTINGS, weights)[0]
         group = SETTINGS.group_index
         f = counts / (counts @ (group[:, None] == group))
         observed = counts > 0
@@ -534,9 +535,9 @@ class TestStartStates:
         monkeypatch.setattr(tomography, "_NEWTON_STEPS", 0)
         freqs = synthesize_frequencies(mixed_entangled_state(np.random.default_rng(3)),
                                        SourceParams(1e-3, 0.8, 0.3), SETTINGS)
-        start = tomography._start_states(SETTINGS, freqs[None])[0]
+        start = tomography._start_states(SETTINGS, freqs[None] / freqs.sum())[0]
         monkeypatch.setattr(tomography, "_START_MIX", 0.0)
-        estimate = tomography._start_states(SETTINGS, freqs[None])[0]
+        estimate = tomography._start_states(SETTINGS, freqs[None] / freqs.sum())[0]
         group = SETTINGS.group_index
         f = freqs / (freqs @ (group[:, None] == group))
         assert np.min(SETTINGS.born_probabilities(estimate) / f) > 0.99
@@ -552,7 +553,7 @@ class TestStartStates:
         ket /= np.linalg.norm(ket)
         freqs = np.maximum(SETTINGS.born_probabilities(np.outer(ket, ket.conj())), 0.0)
         assert 0.0 < freqs[freqs > 0.0].min() < 1e-15
-        start = tomography._start_states(SETTINGS, freqs[None])[0]
+        start = tomography._start_states(SETTINGS, freqs[None] / freqs.sum())[0]
         assert np.linalg.eigvalsh(start)[0] >= tomography._START_MIX / 4.0 * (1.0 - 1e-9)
         rec = mle_reconstruct(freqs, SETTINGS)
         assert rec.stop == "gap" and helpers.likelihood_gap(freqs, rec.rho) <= CERTIFIED
@@ -614,6 +615,7 @@ class TestStartRule:
             rows += [rng.poisson(1e4 * SETTINGS.born_probabilities(rho)),
                      SETTINGS.born_probabilities(rho)]
         stack = np.maximum(np.array(rows, dtype=float), 0.0)
+        stack /= stack.sum(axis=1, keepdims=True)  # _start_states takes normalized weights
         tomography._start_states(SETTINGS, stack)
         [(w, starts, _)] = calls[2]
         assert np.array_equal(w, stack[::2])
@@ -650,6 +652,20 @@ class TestRoundoffZeroWeights:
                 assert helpers.likelihood_gap(kept, rec.rho) <= CERTIFIED
                 assert (ket.conj() @ rec.rho @ ket).real >= 1.0 - 1e-12
         assert tiny == 592
+
+    def test_weights_over_270_decades_certify_at_the_start(self):
+        # the exact Born frequencies of this pure state span 278 decades; counted as
+        # weights they ran both solver paths to the iteration cap at a gap of 0.018,
+        # and later to a floor stop at 7.2e-5, both refused
+        ket = np.array([0.541, 1.6e-139, -0.139, 0.0])
+        ket /= np.linalg.norm(ket)
+        freqs = np.maximum(SETTINGS.born_probabilities(np.outer(ket, ket)), 0.0)
+        assert 0.0 < freqs[freqs > 0.0].min() < 1e-277 * freqs.max()
+        kept = np.where(freqs > 1e-13 * freqs.max(), freqs, 0.0)
+        rec = mle_reconstruct(freqs, SETTINGS)
+        assert (rec.stop, rec.iterations, rec.converged) == ("gap", 0, True)
+        assert helpers.likelihood_gap(kept, rec.rho) <= CERTIFIED
+        assert (ket @ rec.rho @ ket).real >= 1.0 - 1e-12
 
     def test_tiny_weights_fit_as_zero_weights(self):
         # the zeroed weights drop out of the likelihood as zero counts do
@@ -712,6 +728,7 @@ class TestInteriorNewton:
         interior = [rng.poisson(2e5 * SETTINGS.born_probabilities(
             0.7 * helpers.random_density_matrix(rng) + 0.3 * MIXED)) for _ in range(6)]
         stack = np.maximum(np.array(boundary + exact + interior, dtype=float), 0.0)
+        stack /= stack.sum(axis=1, keepdims=True)  # _start_states takes normalized weights
         calls = newton_calls(monkeypatch)
         starts = tomography._start_states(SETTINGS, stack)
         # the exact rows are certified at their estimate and take no step
@@ -726,8 +743,7 @@ class TestInteriorNewton:
                 assert helpers.likelihood_gap(freqs, rho) <= CERTIFIED
         # the ascent takes the boundary rows from their mixed starts, as without
         # the phase, and stops on the others at once
-        weights = stack / stack.sum(axis=1, keepdims=True)
-        _, _, iterations, stops = batch_fit(weights, starts)
+        _, _, iterations, stops = batch_fit(stack, starts)
         assert iterations[:len(boundary)].all() and not iterations[len(boundary):].any()
         assert set(stops[len(boundary):]) == {"gap"}
 
@@ -783,6 +799,7 @@ class TestInteriorNewton:
         model = synthesize_frequencies(mixed_entangled_state(rng), SourceParams(0.05, 0.8, 0.3),
                                        SETTINGS)
         stack = np.array([sparse[0], model, *sparse[1:]])
+        stack /= stack.sum(axis=1, keepdims=True)  # _start_states takes normalized weights
         calls = newton_calls(monkeypatch)
         tomography._start_states(SETTINGS, stack)
         [[(w, starts, out)]] = calls  # every row is mixed and steps
