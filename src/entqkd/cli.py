@@ -269,9 +269,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser("bases", help="optimal bases and waveplate dials")
-    p.add_argument("--rho0-file", default=None, help="state JSON file")
-    p.add_argument("--bell", choices=("phi+", "phi-", "psi+", "psi-"), default="phi+",
-                   help="use a Bell state (default phi+) when no file is given")
+    state = p.add_mutually_exclusive_group()
+    state.add_argument("--rho0-file", default=None, help="state JSON file")
+    state.add_argument("--bell", choices=("phi+", "phi-", "psi+", "psi-"), default="phi+",
+                       help="use a Bell state (default phi+) when no file is given")
     p.add_argument("--ordering", choices=bases.ORDERINGS, default="alice_first")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_bases)
@@ -279,9 +280,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="CW bound vs single-pair sources, CSV series")
     add_eta_flags(p, _DEFAULT_COMPARE_ETA)
     p.add_argument("--nbar-grid", default="1e-4:0.2:80", metavar="START:STOP:STEPS")
-    p.add_argument("--s-target", type=float, default=_DEFAULT_S_TARGET,
-                   help="CHSH value the default surrogate single-pair state matches")
-    p.add_argument("--rho0-file", default=None, help="explicit single-pair state JSON")
+    state = p.add_mutually_exclusive_group()
+    state.add_argument("--s-target", type=float, default=_DEFAULT_S_TARGET,
+                       help="CHSH value the default surrogate single-pair state matches")
+    state.add_argument("--rho0-file", default=None, help="explicit single-pair state JSON")
     p.add_argument("--out-dir", default="compare_out")
     p.set_defaults(func=cmd_compare)
 

@@ -491,6 +491,33 @@ class TestParser:
         assert main(["table-check"]) == 7
 
 
+class TestStateFlags:
+    """Two flags that each choose the state exclude each other."""
+
+    @pytest.mark.parametrize("argv,later,earlier", [
+        (["compare", "--rho0-file", "{file}", "--s-target", "2.5", "--out-dir", "{dir}"],
+         "--s-target", "--rho0-file"),
+        (["compare", "--s-target", "5", "--rho0-file", "{file}", "--out-dir", "{dir}"],
+         "--rho0-file", "--s-target"),
+        (["bases", "--rho0-file", "{file}", "--bell", "psi-"], "--bell", "--rho0-file"),
+        (["bases", "--bell", "phi+", "--rho0-file", "{file}"], "--rho0-file", "--bell"),
+    ], ids=["compare file first", "compare s-target first", "bases file first",
+            "bases bell first"])
+    def test_both_flags_exit_2_naming_both(self, tmp_path, capsys, argv, later, earlier):
+        # given both, the command used the file and dropped the other flag unchecked
+        rho_path = tmp_path / "rho.json"
+        rho_path.write_text(canonical_json(
+            density_matrix_to_json(werner_mix(bell_state("psi-"), 0.1))))
+        out_dir = tmp_path / "cmp"
+        with pytest.raises(SystemExit) as exc:
+            main([arg.format(file=rho_path, dir=out_dir) for arg in argv])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: argument {later}: not allowed with argument {earlier}\n" in captured.err
+        assert not out_dir.exists()
+
+
 class TestHelp:
     @pytest.mark.parametrize("command,default", [("compare", "0.16"), ("model", "1.0"),
                                                  ("optimize", "1.0")])
