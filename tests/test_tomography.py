@@ -535,9 +535,10 @@ class TestStartStates:
         monkeypatch.setattr(tomography, "_NEWTON_STEPS", 0)
         freqs = synthesize_frequencies(mixed_entangled_state(np.random.default_rng(3)),
                                        SourceParams(1e-3, 0.8, 0.3), SETTINGS)
-        start = tomography._start_states(SETTINGS, freqs[None] / freqs.sum())[0]
+        weights = freqs[None] / freqs.sum()  # _start_states takes normalized weights
+        start = tomography._start_states(SETTINGS, weights)[0]
         monkeypatch.setattr(tomography, "_START_MIX", 0.0)
-        estimate = tomography._start_states(SETTINGS, freqs[None] / freqs.sum())[0]
+        estimate = tomography._start_states(SETTINGS, weights)[0]
         group = SETTINGS.group_index
         f = freqs / (freqs @ (group[:, None] == group))
         assert np.min(SETTINGS.born_probabilities(estimate) / f) > 0.99
