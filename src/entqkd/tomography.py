@@ -79,7 +79,8 @@ _MAX_ITERATIONS = 10000
 _START_MIX = 1e-3
 #: a weight at most this fraction of its row's largest is roundoff of an exact 0, as in
 #: Born products of a state that gives a setting probability 0, and counts as 0; a row of
-#: integer counts loses no count unless it holds more than 1e13 counts
+#: integer counts loses no count unless it holds more than 1e13 counts.  The start rule
+#: keeps an estimate only if every observed probability is above it too
 _ZERO_WEIGHT = 1e-13
 #: full Newton steps ``_interior_newton`` takes at most; from the starts of a gain
 #: curve an interior optimum certifies in 2 or 3
@@ -473,14 +474,16 @@ def _start_states(settings: TomographySettings, w: np.ndarray) -> np.ndarray:
     density matrices as the step from I/4 to it, by
     ``_projected_steps``, then made exactly Hermitian.  A row starts at
     that estimate if it is certified already: it gives every setting of
-    positive weight a positive probability, and its gap (``_gaps``) is
-    at most ``_TOL``, which bounds every ratio w_k / p_k of the gradient
-    by 1 + ``_TOL``.  Exact frequencies of a state pass, as
-    ``_kept_weights`` has zeroed the roundoff of their exact zeros, so
-    their fit stops before its first step; every weight it keeps is
-    above 1e-13 of its row's largest, so a certified start gives it a
-    probability far above the roundoff of a Born product, and the
-    solver's own product of the start is positive too.  Every other
+    positive weight a probability above ``_ZERO_WEIGHT``, and its gap
+    (``_gaps``) is at most ``_TOL``, which bounds every ratio w_k / p_k
+    of the gradient by 1 + ``_TOL``.  A Born product of a unit-trace
+    state is a sum of 32 real terms whose magnitudes sum to at most 1,
+    so its roundoff is at most about 32 * 2**-53, 3.6e-15, and every
+    product of a kept start, the solver's own included, is positive.  Exact
+    frequencies of a state pass, as ``_kept_weights`` has zeroed the
+    roundoff of their exact zeros, so their fit stops before its first
+    step; a weight the policy did not zero, as when this function is
+    called directly, can only send its row to the mixed start.  Every other
     row, which is every row of noisy counts, gets ``_START_MIX`` of I/4
     mixed in, so every setting starts at a probability of at least
     ``_START_MIX / 4`` and any weight, even one the projection gave
@@ -497,8 +500,8 @@ def _start_states(settings: TomographySettings, w: np.ndarray) -> np.ndarray:
     # the probabilities of unobserved settings are held at +inf, as in the ascent
     p = _born_rows(settings.projectors_real, starts) + np.where(w > 0.0, 0.0, np.inf)
     # the rows whose estimate is certified already: every observed probability
-    # positive and the gap at most _TOL
-    keeps = p.min(axis=1) > 0.0
+    # above roundoff and the gap at most _TOL
+    keeps = p.min(axis=1) > _ZERO_WEIGHT
     keeps[keeps] = _gaps(_ratio_operators(settings.projectors_real, w[keeps], p[keeps])) <= _TOL
     starts[~keeps] = _interior_newton(
         settings, w[~keeps], (1.0 - _START_MIX) * starts[~keeps] + _START_MIX / 4.0 * _EYE4)

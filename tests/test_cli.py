@@ -504,7 +504,7 @@ class TestStateFlags:
     ], ids=["compare file first", "compare s-target first", "bases file first",
             "bases bell first"])
     def test_both_flags_exit_2_naming_both(self, tmp_path, capsys, argv, later, earlier):
-        # given both, the command used the file and dropped the other flag unchecked
+        # each flag chooses the state, so given both the command cannot tell which one holds
         rho_path = tmp_path / "rho.json"
         rho_path.write_text(canonical_json(
             density_matrix_to_json(werner_mix(bell_state("psi-"), 0.1))))

@@ -194,9 +194,7 @@ def test_start_states_are_interior_density_matrices(w):
     # mixes in I/4 or is the certified state of Newton steps from there; a
     # certified start has lambda_max(R) <= 1 + 1e-10, so every setting with
     # weight keeps a probability of at least its normalized weight over 1 + 1e-10.
-    # _start_states takes the weights its callers fit: roundoff zeros set to 0
-    # (_kept_weights), then normalized; an all-zero row stays all zero
-    w = tomography._kept_weights(w)
+    # _start_states takes normalized weights; an all-zero row stays all zero
     sums = w.sum(axis=1, keepdims=True)
     w = np.divide(w, sums, out=np.zeros(w.shape), where=sums > 0.0)
     for start, row_w in zip(tomography._start_states(SETTINGS, w), w):
@@ -205,9 +203,8 @@ def test_start_states_are_interior_density_matrices(w):
         assert np.linalg.eigvalsh(start)[0] >= -1e-14
         mixed = np.linalg.eigvalsh(start)[0] >= tomography._START_MIX / 4.0 * (1.0 - 1e-9)
         assert mixed or helpers.likelihood_gap(row_w, start) <= 1e-10 + helpers.GAP_ROUNDOFF
-        # every weight left is above 1e-13 of its row's largest, so a kept estimate's
-        # probabilities are far above roundoff, and 1 % allows for the roundoff of two
-        # Born products of one state
+        # a kept estimate's probabilities are above 1e-13 (_ZERO_WEIGHT), so 1 % allows
+        # for the roundoff of two Born products of one state
         observed = row_w > 0.0
         floor = np.minimum(row_w[observed] / row_w.sum(), tomography._START_MIX / 4.0)
         assert np.all(SETTINGS.born_probabilities(start)[observed] >= 0.99 * floor)

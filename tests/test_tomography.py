@@ -548,7 +548,7 @@ class TestStartStates:
     def test_roundoff_level_weights_get_a_mixed_start(self):
         # some settings of (|HH> - |LL>)/sqrt(2) get Born weights of about 1e-17, the
         # roundoff of an exact 0; the estimate's probabilities there are roundoff
-        # too, and without the mix they went nonpositive in the solver, which raised
+        # too, below _ZERO_WEIGHT, and could come out nonpositive in the solver
         h, l = POLARIZATION_KETS["H"], POLARIZATION_KETS["L"]
         ket = np.kron(h, h) - np.kron(l, l)
         ket /= np.linalg.norm(ket)
@@ -556,6 +556,13 @@ class TestStartStates:
         assert 0.0 < freqs[freqs > 0.0].min() < 1e-15
         start = tomography._start_states(SETTINGS, freqs[None] / freqs.sum())[0]
         assert np.linalg.eigvalsh(start)[0] >= tomography._START_MIX / 4.0 * (1.0 - 1e-9)
+        # the fits zero those weights first (_kept_weights); the estimate of what is
+        # left is the state itself, certified, and is the start
+        kept = tomography._kept_weights(freqs)
+        assert np.count_nonzero(kept) < np.count_nonzero(freqs)
+        start = tomography._start_states(SETTINGS, kept[None] / kept.sum())[0]
+        assert helpers.likelihood_gap(kept, start) <= CERTIFIED
+        assert (ket.conj() @ start @ ket).real >= 1.0 - 1e-12
         rec = mle_reconstruct(freqs, SETTINGS)
         assert rec.stop == "gap" and helpers.likelihood_gap(freqs, rec.rho) <= CERTIFIED
 
@@ -655,9 +662,9 @@ class TestRoundoffZeroWeights:
         assert tiny == 592
 
     def test_weights_over_270_decades_certify_at_the_start(self):
-        # the exact Born frequencies of this pure state span 278 decades; counted as
-        # weights they ran both solver paths to the iteration cap at a gap of 0.018,
-        # and later to a floor stop at 7.2e-5, both refused
+        # the exact Born frequencies of this pure state span 278 decades; every weight
+        # below 1e-13 of the largest counts as 0 (_kept_weights), so what is left are
+        # the frequencies of the state itself and the fit certifies at its start
         ket = np.array([0.541, 1.6e-139, -0.139, 0.0])
         ket /= np.linalg.norm(ket)
         freqs = np.maximum(SETTINGS.born_probabilities(np.outer(ket, ket)), 0.0)
