@@ -17,9 +17,12 @@ the protocol is only secure for violating S.
 The eigenvalues come from ``states._correlation_eigensystems``, the one
 analysis of U that also gives ``states.correlation_analysis`` (and so the
 bases) its eigensystem; this module diagonalizes nothing itself.  Public
-calls validate their state first; the fitted stacks of ``tomography``
-(``mle_curve``, ``monte_carlo_uncertainty``), whose solver returns
-symmetrized unit-trace states, are evaluated as one stack without it.
+calls validate their state first, through ``states.correlation_analysis``,
+which keeps the last state's content and analysis: a state that passes
+through several public calls in a row is validated and analysed once.
+The fitted stacks of ``tomography`` (``mle_curve``,
+``monte_carlo_uncertainty``), whose solver returns symmetrized unit-trace
+states, are evaluated as one stack without it.
 
 The protocol also assumes unbiased single-party outcomes (both parties'
 marginals average to zero).  That is a property of the measurement
@@ -35,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numeric import check_range
-from .states import _correlation_eigensystems, validate_density_matrix
+from .states import _correlation_eigensystems, correlation_analysis
 
 TSIRELSON = 2.0 * math.sqrt(2.0)
 
@@ -48,24 +51,30 @@ def binary_entropy(q: float) -> float:
     return -q * math.log2(q) - (1.0 - q) * math.log2(1.0 - q)
 
 
+def _figures(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(S, Q, r_DW) arrays from a (B, 3) stack of descending eigenvalues of T^T T."""
+    s = np.minimum(2.0 * np.sqrt(lam[:, 0] + lam[:, 1]), TSIRELSON)
+    q = (1.0 - np.sqrt(lam[:, 0])) / 2.0
+    return s, q, np.array([devetak_winter(*sq) for sq in zip(s.tolist(), q.tolist())])
+
+
 def _evaluate_stack(rhos: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(S, Q, r_DW) arrays of a (B, 4, 4) stack of states, which must be valid already.
 
     Reads the eigenvalues of ``states._correlation_eigensystems``; every
     row equals the evaluation of its state alone, bit for bit.
     """
-    lam = _correlation_eigensystems(rhos)[1]
-    s = np.minimum(2.0 * np.sqrt(lam[:, 0] + lam[:, 1]), TSIRELSON)
-    q = (1.0 - np.sqrt(lam[:, 0])) / 2.0
-    return s, q, np.array([devetak_winter(*sq) for sq in zip(s.tolist(), q.tolist())])
+    return _figures(_correlation_eigensystems(rhos)[1])
 
 
 def evaluate_state(rho: np.ndarray) -> tuple[float, float, float]:
     """(S, Q, r_DW) of rho: optimal CHSH value, minimal QBER, Devetak-Winter rate.
 
-    One validation and one diagonalization of T^T T serve all three.
+    All three come from the eigenvalues of ``states.correlation_analysis``,
+    so a state whose analysis the bases just built (or that was just
+    evaluated) is neither validated nor diagonalized again.
     """
-    s, q, r_dw = _evaluate_stack(validate_density_matrix(rho)[None])
+    s, q, r_dw = _figures(correlation_analysis(rho).eigenvalues[None])
     return float(s[0]), float(q[0]), float(r_dw[0])
 
 

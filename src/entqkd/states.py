@@ -19,7 +19,10 @@ Conventions used throughout the package:
 
 All functions are pure and never mutate their arguments; module-level
 constant arrays are marked read-only so they can be shared freely across
-threads.
+threads.  The one module-level value that changes is the last valid
+state's content and analysis, which ``validate_density_matrix`` and
+``correlation_analysis`` keep so that a state passed to several public
+calls in a row is checked and analysed once; it changes no result.
 """
 
 from __future__ import annotations
@@ -130,15 +133,28 @@ def bell_state(kind: str) -> np.ndarray:
     return ket_to_dm(ket)
 
 
+# The bytes of the last complex 4x4 state that passed every check, and its
+# CorrelationAnalysis once one is built (else None).  The pair is replaced
+# whole, so a race between threads can only cause a miss.
+_last_valid: tuple[bytes, CorrelationAnalysis | None] = (b"", None)
+
+
 def validate_density_matrix(rho, name: str = "rho") -> np.ndarray:
     """Check finiteness, Hermiticity, unit trace, and positivity; return as complex array.
 
     Eigenvalues are allowed to dip to -1e-10 (tomography and Monte-Carlo
     perturbations produce tiny negatives); anything lower is rejected.
+    The full content of the last state that passed is kept: a state
+    with exactly those bytes skips the checks, since it has passed them,
+    and is still returned as the caller's own converted array.
     """
+    global _last_valid
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ValueError(f"{name} must be a 4x4 matrix, got shape {rho.shape}")
+    key = rho.tobytes()
+    if key == _last_valid[0]:
+        return rho
     if not np.isfinite(rho).all():
         raise ValueError(f"{name} has non-finite entries")
     if np.max(np.abs(rho - rho.conj().T)) > HERMITICITY_TOL:
@@ -148,6 +164,7 @@ def validate_density_matrix(rho, name: str = "rho") -> np.ndarray:
         raise ValueError(f"{name} does not have unit trace")
     if np.linalg.eigvalsh(rho).min() < PSD_TOL:
         raise ValueError(f"{name} has an eigenvalue below {PSD_TOL}")
+    _last_valid = (key, None)
     return rho
 
 
@@ -229,18 +246,28 @@ def correlation_analysis(rho: np.ndarray) -> CorrelationAnalysis:
 
     Validates rho and runs ``_correlation_eigensystems`` on it alone,
     the analysis that ``metrics`` reads S and Q from, then applies the
-    sign convention to the eigenvectors.
+    sign convention to the eigenvectors.  The result is kept with the
+    validated state's bytes, so the same content again returns the same
+    read-only analysis without repeating it.
 
     Returns
     -------
     CorrelationAnalysis
         Eigenvalues sorted descending and clipped to [0, 1].
     """
-    tensors, vals, vecs = _correlation_eigensystems(validate_density_matrix(rho)[None])
+    global _last_valid
+    rho = validate_density_matrix(rho)
+    key = rho.tobytes()
+    last_key, analysis = _last_valid
+    if analysis is not None and key == last_key:
+        return analysis
+    tensors, vals, vecs = _correlation_eigensystems(rho[None])
     tensor, vecs = tensors[0], vecs[0]
     for k in range(3):
         vecs[:, k] = _fix_sign(vecs[:, k])
-    return CorrelationAnalysis(tensor, tensor.T @ tensor, vals[0], vecs)
+    analysis = CorrelationAnalysis(tensor, tensor.T @ tensor, vals[0], vecs)
+    _last_valid = (key, analysis)
+    return analysis
 
 
 def concurrence(rho: np.ndarray) -> float:

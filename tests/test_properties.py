@@ -13,6 +13,7 @@ random states and of near-pure dephased states at low gain must certify
 and reproduce their input probabilities, through both solver paths.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -21,9 +22,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import helpers
-from entqkd import (SourceParams, TomographySettings, bell_state, correlation_analysis,
-                    evaluate_state, mle_reconstruct, optimal_bases, synthesize_frequencies,
-                    tomography, verify_bases, waveplate_angles)
+from entqkd import (QkdMetrics, SourceParams, TomographySettings, bell_state,
+                    correlation_analysis, evaluate_state, mle_reconstruct, optimal_bases,
+                    synthesize_frequencies, tomography, verify_bases, waveplate_angles,
+                    werner_mix)
 from entqkd.bases import ORDERINGS
 from entqkd.metrics import TSIRELSON
 from entqkd.states import POLARIZATION_KETS, validate_density_matrix
@@ -156,6 +158,72 @@ def test_optimal_bases_reproduce_s_and_q(rho, ordering):
     s_achieved, q_achieved = verify_bases(rho, optimal_bases(rho, ordering))
     assert s_achieved == pytest.approx(s, abs=1e-9)
     assert q_achieved == pytest.approx(q, abs=1e-9)
+
+
+def _bits(value):
+    """A value with every float as its exact bits, so == means bit-identical."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, tuple):
+        return tuple(_bits(v) for v in value)
+    if dataclasses.is_dataclass(value):
+        return type(value).__name__, _bits(dataclasses.astuple(value))
+    return value
+
+
+def _public_call(call, rho, ordering):
+    """Output of one public state call as bits; a refusal as its type and message."""
+    try:
+        if call == "validate_density_matrix":
+            return _bits(validate_density_matrix(rho))
+        if call == "correlation_analysis":
+            return _bits(correlation_analysis(rho))
+        if call == "QkdMetrics.from_state":
+            return _bits(QkdMetrics.from_state(rho, 1e-3))
+        if call == "optimal_bases":
+            return _bits(optimal_bases(rho, ordering))
+        return _bits(verify_bases(rho, optimal_bases(bell_state("phi+"), ordering)))
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+
+
+#: states that fill the kept slot between calls; one differs from any drawn state
+_FILLERS = (werner_mix(bell_state("psi-"), 0.3), werner_mix(bell_state("phi+"), 0.7))
+
+
+@st.composite
+def related_states(draw):
+    """1 to 3 states, then the first one's transpose and its copy one ulp away at [3, 3].
+
+    The two near twins are valid states whose content differs from the
+    first state's in its imaginary parts or in one bit of its last entry.
+    """
+    rhos = draw(st.lists(mixed_states(), min_size=1, max_size=3))
+    nudged = rhos[0].copy()
+    nudged[3, 3] = np.nextafter(nudged[3, 3].real, 1.0)
+    return rhos + [rhos[0].T.copy(), nudged]
+
+
+@PROPERTY
+@given(rhos=related_states(),
+       steps=st.lists(st.tuples(st.integers(0, 4),
+                                st.sampled_from(["validate_density_matrix",
+                                                 "correlation_analysis",
+                                                 "QkdMetrics.from_state", "optimal_bases",
+                                                 "verify_bases"]),
+                                st.sampled_from(ORDERINGS)),
+                      min_size=1, max_size=12))
+def test_repeated_states_give_the_outputs_of_a_first_call(rhos, steps):
+    # each call follows the calls before it, on the same state or another one,
+    # and must give exactly what it gives after another state filled the slot
+    for index, call, ordering in steps:
+        rho = rhos[index % len(rhos)]
+        after_earlier_calls = _public_call(call, rho, ordering)
+        filler = next(f for f in _FILLERS if f.tobytes() != rho.tobytes())
+        correlation_analysis(filler)
+        assert _public_call(call, rho, ordering) == after_earlier_calls
 
 
 @FITS

@@ -1,11 +1,14 @@
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
 import helpers
-from entqkd import (BELL_LABELS, MAXIMALLY_MIXED, bell_state, bloch_projector,
+from entqkd import (BELL_LABELS, MAXIMALLY_MIXED, QkdMetrics, bell_state, bloch_projector,
                     bloch_to_ket, concurrence, correlation_analysis, fidelity,
-                    ket_to_dm, partial_trace, pauli, validate_density_matrix,
-                    werner_mix)
+                    ket_to_dm, optimal_bases, partial_trace, pauli, states,
+                    validate_density_matrix, verify_bases, werner_mix)
 from entqkd.states import POLARIZATION_BLOCH, POLARIZATION_KETS
 
 
@@ -238,3 +241,128 @@ class TestValidation:
         eps = 5e-11
         ok = np.diag([0.5 + eps, 0.5, 0.0, -eps]).astype(complex)
         validate_density_matrix(ok)
+
+
+def _fill_with_another_state():
+    correlation_analysis(bell_state("phi+"))
+
+
+class TestRepeatedState:
+    """The last valid state is kept by its full content: only those exact bytes skip work."""
+
+    @staticmethod
+    def public_calls(basis_set):
+        return {
+            "validate_density_matrix": validate_density_matrix,
+            "correlation_analysis": correlation_analysis,
+            "QkdMetrics.from_state": lambda rho: QkdMetrics.from_state(rho, 1e-3),
+            "optimal_bases": optimal_bases,
+            "verify_bases": lambda rho: verify_bases(rho, basis_set),
+        }
+
+    @staticmethod
+    def edit_nan(rho):
+        rho[3, 2] = np.nan
+
+    @staticmethod
+    def edit_non_hermitian(rho):
+        rho[2, 3] += 1e-6
+
+    @staticmethod
+    def edit_trace(rho):
+        rho[3, 3] += 0.1
+
+    @staticmethod
+    def edit_negative_eigenvalue(rho):
+        rho[...] = np.diag([0.501, 0.3, 0.2, -1e-3])
+
+    @pytest.mark.parametrize("call", ["validate_density_matrix", "correlation_analysis",
+                                      "QkdMetrics.from_state", "optimal_bases", "verify_bases"])
+    @pytest.mark.parametrize("edit, message", [
+        ("edit_nan", "rho has non-finite entries"),
+        ("edit_non_hermitian", "rho is not Hermitian within 1e-12"),
+        ("edit_trace", "rho does not have unit trace"),
+        ("edit_negative_eigenvalue", "rho has an eigenvalue below -1e-10"),
+    ])
+    def test_state_edited_in_place_is_checked_again(self, call, edit, message):
+        rho = werner_mix(bell_state("psi-"), 0.2)
+        calls = self.public_calls(optimal_bases(rho))
+        for public_call in calls.values():
+            public_call(rho)
+        getattr(self, edit)(rho)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            calls[call](rho)
+
+    def test_real_state_and_its_complex_twin_agree(self, rng):
+        g = rng.normal(size=(4, 4))
+        real = g @ g.T / np.trace(g @ g.T)
+        twin = real.astype(complex)
+        calls = self.public_calls(optimal_bases(bell_state("phi+"), "bob_first"))
+        for name, public_call in calls.items():
+            _fill_with_another_state()
+            want = public_call(twin)
+            for arg in (real, twin, real):
+                got = public_call(arg)
+                if name == "validate_density_matrix":
+                    assert got.dtype == complex and np.array_equal(got, want)
+                elif name == "correlation_analysis":
+                    for field in dataclasses.fields(want):
+                        assert np.array_equal(getattr(got, field.name), getattr(want, field.name))
+                elif name == "optimal_bases":
+                    assert all(np.array_equal(g_vec, w_vec) for (_, g_vec), (_, w_vec)
+                               in zip(got.labeled(), want.labeled()))
+                else:
+                    assert got == want
+
+    def test_repeated_state_returns_the_callers_array(self):
+        rho = werner_mix(bell_state("phi-"), 0.3)
+        same_content = rho.copy()
+        assert validate_density_matrix(rho) is rho
+        assert validate_density_matrix(same_content) is same_content
+        assert validate_density_matrix(rho) is rho
+        real = np.diag([0.4, 0.3, 0.2, 0.1])
+        first, second = validate_density_matrix(real), validate_density_matrix(real)
+        assert first is not second and not np.shares_memory(first, second)
+
+    def test_analysis_cannot_be_written(self):
+        rho = werner_mix(bell_state("psi+"), 0.1)
+        _fill_with_another_state()
+        for analysis in (correlation_analysis(rho), correlation_analysis(rho.copy())):
+            for field in dataclasses.fields(analysis):
+                array = getattr(analysis, field.name)
+                with pytest.raises(ValueError, match="read-only"):
+                    array[...] = 0.0
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(analysis, field.name, np.zeros_like(array))
+        assert np.allclose(correlation_analysis(rho).eigenvalues, [0.81, 0.81, 0.81])
+
+    def test_slot_filled_by_another_thread_is_a_miss(self, monkeypatch):
+        rho = werner_mix(bell_state("psi-"), 0.2)
+        other = bell_state("phi+")
+        other_analysis = correlation_analysis(other)
+        validate = states.validate_density_matrix
+
+        def validate_then_race(arg):
+            # another thread's analysis lands between this validation and the lookup
+            out = validate(arg)
+            states._last_valid = (other.tobytes(), other_analysis)
+            return out
+
+        monkeypatch.setattr(states, "validate_density_matrix", validate_then_race)
+        assert np.allclose(correlation_analysis(rho).eigenvalues, [0.64, 0.64, 0.64])
+
+    def test_one_state_is_validated_and_diagonalized_once(self, rng, monkeypatch):
+        # from_state, optimal_bases in both orderings and verify_bases twice,
+        # each given its own copy of one state
+        rho = helpers.random_density_matrix(rng, rank=3)
+        _fill_with_another_state()
+        counts = {"eigvalsh": 0, "eigh": 0}
+        for name in counts:
+            def counted(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
+                counts[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+        QkdMetrics.from_state(rho.copy(), 1e-3)
+        for ordering in ("alice_first", "bob_first"):
+            verify_bases(rho.copy(), optimal_bases(rho.copy(), ordering))
+        assert counts == {"eigvalsh": 1, "eigh": 1}
