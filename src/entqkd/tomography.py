@@ -85,8 +85,26 @@ _ZERO_WEIGHT = 1e-13
 #: full Newton steps ``_interior_newton`` takes at most; from the starts of a gain
 #: curve an interior optimum certifies in 2 or 3
 _NEWTON_STEPS = 5
+#: an ascent hands a row to ``_factor_newton`` once its certified gap is at most this
+_HANDOFF = 1e-2
+#: Newton steps ``_factor_newton`` takes at most: near a rank boundary the factor
+#: converges only linearly, and the ascent finishes the few rows that do not certify
+_FACTOR_STEPS = 40
+#: the factor's starting diagonal is at least this, as a zero column never grows back
+_FACTOR_FLOOR = 1e-3
 _EYE4 = np.eye(4)
 _RANKS = np.arange(1, 5)
+# the 16 real parameters of a lower-triangular 4 x 4 factor with a real diagonal: the
+# real parts of its 10 entries on and below the diagonal, then the imaginary parts of
+# the 6 below it; entry (row, column) of parameter n is times _FACTOR_PHASE[n]
+_FACTOR_ROWS, _FACTOR_COLS = (np.r_[all_, below] for all_, below
+                              in zip(np.tril_indices(4), np.tril_indices(4, -1)))
+_FACTOR_PHASE = np.r_[np.ones(10), np.full(6, 1j)]
+_FACTOR_MAP = np.zeros((16, 16), dtype=complex)  # parameters -> flattened factor
+_FACTOR_MAP[np.arange(16), 4 * _FACTOR_ROWS + _FACTOR_COLS] = _FACTOR_PHASE
+# the second derivatives of every probability couple parameters of one column only
+_FACTOR_PAIRS = (2.0 * (_FACTOR_COLS[:, None] == _FACTOR_COLS)
+                 * _FACTOR_PHASE.conj()[:, None] * _FACTOR_PHASE)
 
 
 @dataclass(frozen=True)
@@ -107,13 +125,15 @@ class TomographySettings:
             raise ValueError("settings must cover all 36 ordered projection pairs exactly once")
         object.__setattr__(self, "pairs", pairs)
 
+        kets = np.array([np.kron(POLARIZATION_KETS[a], POLARIZATION_KETS[b]) for a, b in pairs],
+                        dtype=complex)
         projectors = np.empty((36, 4, 4), dtype=complex)
         bloch_a = np.empty((36, 3))
         bloch_b = np.empty((36, 3))
         groups = np.empty(36, dtype=int)
         axis = {"H": 0, "V": 0, "D": 1, "A": 1, "R": 2, "L": 2}
         for k, (a, b) in enumerate(pairs):
-            projectors[k] = ket_to_dm(np.kron(POLARIZATION_KETS[a], POLARIZATION_KETS[b]))
+            projectors[k] = ket_to_dm(kets[k])
             bloch_a[k] = POLARIZATION_BLOCH[a]
             bloch_b[k] = POLARIZATION_BLOCH[b]
             groups[k] = axis[a] * 3 + axis[b]
@@ -129,9 +149,10 @@ class TomographySettings:
         pauli_design = np.ascontiguousarray(np.einsum(
             "km,kn->kmn", np.hstack([ones, bloch_a]), np.hstack([ones, bloch_b])
         ).reshape(36, 16)[:, 1:] / 4.0)
-        for arr in (projectors, projectors_real, linear_inversion, pauli_design, bloch_a,
+        for arr in (kets, projectors, projectors_real, linear_inversion, pauli_design, bloch_a,
                     bloch_b, groups):
             arr.flags.writeable = False
+        object.__setattr__(self, "_kets", kets)
         object.__setattr__(self, "projectors", projectors)
         object.__setattr__(self, "projectors_real", projectors_real)
         object.__setattr__(self, "linear_inversion", linear_inversion)
@@ -315,7 +336,7 @@ def _projected_step(sigma: np.ndarray, move: np.ndarray) -> np.ndarray:
     return step
 
 
-def _accelerated_ascent(projectors_real, c, rho, max_iterations, on_iteration=None):
+def _accelerated_ascent(settings, c, rho, max_iterations, on_iteration=None):
     """Accelerated projected gradient ascent of sum_k c_k log p_k, c normalized.
 
     Each step moves from the extrapolated point sigma along the gradient
@@ -346,9 +367,10 @@ def _accelerated_ascent(projectors_real, c, rho, max_iterations, on_iteration=No
     log-likelihood per unit weight, gap, iterations, stop), stop being
     ``"gap"``, ``"floor"`` or ``"cap"``.
     """
+    weights = c[None]
     observed = c > 0
     c = c[observed]
-    basis = projectors_real[observed]
+    basis = settings.projectors_real[observed]
 
     def born(mat):
         # Tr[Pi_k M] for Hermitian M, as a real dot product
@@ -368,9 +390,26 @@ def _accelerated_ascent(projectors_real, c, rho, max_iterations, on_iteration=No
     ahead = None  # sigma - rho, None while sigma is rho
     theta, step, failed_restarts = 1.0, _STEP_START, 0
     iterations = 0
+    handed = False
     # a step off the likelihood's domain yields nan, which every test below refuses
     with np.errstate(divide="ignore", invalid="ignore"):
         while gap > _TOL and iterations < max_iterations:
+            if not handed and gap <= _HANDOFF:
+                handed = True
+                rhos, gaps, steps, gains = _factor_newton(
+                    settings, weights, rho[None], min(_FACTOR_STEPS, max_iterations - iterations))
+                for gain in gains[0, :steps[0]].tolist():
+                    iterations += 1
+                    ll += gain
+                    if on_iteration is not None:
+                        on_iteration(iterations, ll)
+                if steps[0]:  # from the last Newton state, the ascent starts afresh
+                    rho, p = rhos[0], born(rhos[0])
+                    r_rho = gradient(p)
+                    gap = float(gaps[0]) if gaps[0] <= _TOL else float(_gaps(r_rho))
+                    sigma, p_sigma, r_sigma = rho, p, r_rho
+                    ahead, theta, failed_restarts = None, 1.0, 0
+                continue
             iterations += 1
             gain = -math.inf
             for _ in range(_MAX_HALVINGS):
@@ -592,7 +631,143 @@ def _interior_newton(settings: TomographySettings, w: np.ndarray,
     return out
 
 
-def _accelerated_ascent_batch(projectors_real, c, rho, max_iterations):
+def _factor_newton(settings: TomographySettings, w: np.ndarray, rhos: np.ndarray,
+                   max_steps):
+    """Certify a (B, 36) stack of normalized weights by Newton steps on a factor of rho.
+
+    Each row's state is written rho~ = V L L^dagger V^dagger, V being the
+    eigenvectors of its start ``rhos[i]`` in descending order and L
+    lower-triangular with a real diagonal: the 16 real parameters of
+    James, Kwiat, Munro & White, PRA 64, 052312 (2001).  Every L gives a
+    state, so a step needs no projection, and rank loss shows as a
+    vanishing column; L starts as the square roots of the eigenvalues,
+    floored at ``_FACTOR_FLOOR`` so that every column can grow.  The steps
+    maximize F = sum_k w_k log a_k - Tr rho~, a_k = |psi_k^dagger V L|^2,
+    whose maximizer has unit trace.  Each takes the Newton direction of F
+    from its analytic gradient and 16 x 16 Hessian; a Hessian whose
+    direction does not ascend takes |H|^-1 g from its eigensystem.  Each
+    row backtracks on its own, by halving, until F rises and the
+    log-likelihood per unit weight l of rho~ / Tr rho~ does not fall, both
+    evaluated from the change of every a_k, so they do not cancel; at most
+    ``_MAX_HALVINGS`` attempts make a step.  After every step the row's
+    certificate is ``_gaps`` of the Born product of its unit-trace state.
+    A row leaves when that gap reaches ``_TOL``, after ``max_steps`` steps
+    (an int, or one per row), or when no attempt is accepted.  Every
+    product is a 3-D ``np.matmul`` or a row-wise reduction, so each row's
+    bits do not depend on the rows beside it.
+
+    Returns each row's last state (its start if it took no step), that
+    state's gap, the steps taken and a (B, max steps) array of each
+    step's gain in l; the first gain counts from ``rhos[i]`` itself.
+    """
+    count = len(w)
+    max_steps = np.broadcast_to(max_steps, (count,))
+    rho_out = np.array(rhos, dtype=complex)
+    steps_out = np.zeros(count, dtype=int)
+    gains_out = np.zeros((count, int(max_steps.max(initial=0))))
+    projectors_real = settings.projectors_real
+    # the probabilities of unobserved settings are held at +inf, as in the ascent
+    unobserved = np.where(w > 0.0, 0.0, np.inf)
+
+    def born(mats):
+        return np.matmul(mats.reshape(-1, 1, 16).view(np.float64), projectors_real.T)[:, 0]
+
+    def certificate(w, p):
+        ratio = np.matmul((w / p)[:, None, :], projectors_real)[:, 0]
+        return _gaps(ratio.view(complex).reshape(-1, 4, 4))
+
+    def factor(theta):
+        return np.matmul(theta[:, None, :], _FACTOR_MAP)[:, 0].reshape(-1, 4, 4)
+
+    def probabilities(u_conj, theta):
+        b_conj = np.matmul(u_conj, factor(theta))  # row k: (L^dagger V^dagger psi_k)^*
+        return b_conj, (b_conj.real ** 2 + b_conj.imag ** 2).sum(axis=2) + unobserved
+
+    def direction(u_t, u_conj, u_phase, b_conj, a, w, theta):
+        ratio = w / a
+        # M - I, M = V^dagger R~ V with R~ = sum_k (w_k / a_k) Pi_k, and the gradients
+        # of the a_k: Tr rho~ adds -2 theta and -2 I, which the identity in M - I gives
+        m = np.matmul(u_t, ratio[:, :, None] * u_conj) - _EYE4
+        jac = (u_phase * b_conj[:, :, _FACTOR_COLS]).real
+        grad = np.matmul(ratio[:, None, :], jac)[:, 0] - 2.0 * theta
+        neg_hess = (np.matmul(jac.transpose(0, 2, 1), (ratio / a)[:, :, None] * jac)
+                    - (_FACTOR_PAIRS * m[:, _FACTOR_ROWS[:, None], _FACTOR_ROWS]).real)
+        step = _solve_rows(neg_hess, grad)
+        flat = ~((step * grad).sum(axis=1) > 0.0)
+        if flat.any():  # not positive definite, or singular: |H|^-1 g
+            vals, vecs = np.linalg.eigh(neg_hess[flat])
+            along = np.matmul(grad[flat][:, None, :], vecs)[:, 0] / np.abs(vals)
+            step[flat] = np.matmul(vecs, along[:, :, None])[:, :, 0]
+        return step
+
+    rows = np.arange(count)
+    vals, vecs = np.linalg.eigh(rhos)
+    vecs = np.ascontiguousarray(vecs[:, :, ::-1])
+    u = np.matmul(settings._kets, vecs.conj())  # row k: V^dagger psi_k
+    u_t, u_conj = np.ascontiguousarray(u.transpose(0, 2, 1)), u.conj()
+    # the gradient of a_k along parameter n is Re(u_phase[k, n] b_conj[k, column of n])
+    u_phase = 2.0 * _FACTOR_PHASE.conj() * u[:, :, _FACTOR_ROWS]
+    theta = np.zeros((count, 16))
+    theta[:, _FACTOR_ROWS == _FACTOR_COLS] = np.maximum(
+        np.sqrt(np.maximum(vals[:, ::-1], 0.0)), _FACTOR_FLOOR)
+    theta /= np.sqrt((theta ** 2).sum(axis=1))[:, None]  # Tr rho~ = |theta|^2 = 1
+    left = max_steps.copy()
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        b_conj, a = probabilities(u_conj, theta)
+        start = rho_out / np.trace(rho_out, axis1=1, axis2=2).real[:, None, None]
+        p = born(start) + unobserved
+        gap = certificate(w, p)
+        gap_out = gap.copy()
+        # l of the floored factor less l of the start, counted in the first gain
+        offset = np.where(w > 0.0, w * np.log(a / p), 0.0).sum(axis=1)
+        step = direction(u_t, u_conj, u_phase, b_conj, a, w, theta)
+        scale, tries = np.ones(count), np.zeros(count, dtype=int)
+        while True:
+            done = ((gap <= _TOL) | (left <= 0) | (tries >= _MAX_HALVINGS)
+                    | ~np.isfinite(step).all(axis=1))
+            if done.any():
+                live = ~done
+                (rows, w, unobserved, u_t, u_conj, u_phase, vecs, theta, b_conj, a, gap, offset,
+                 step, scale, tries, left) = (
+                    x[live] for x in (rows, w, unobserved, u_t, u_conj, u_phase, vecs, theta,
+                                      b_conj, a, gap, offset, step, scale, tries, left))
+            if not rows.size:
+                break
+            delta = scale[:, None] * step
+            db_conj = np.matmul(u_conj, factor(delta))
+            change = (w * np.log1p(
+                (db_conj.conj() * (2.0 * b_conj + db_conj)).real.sum(axis=2) / a)).sum(axis=1)
+            d_trace = ((2.0 * theta + delta) * delta).sum(axis=1)
+            gain = change - np.log1p(d_trace) + offset
+            ok = (change - d_trace > 0.0) & (gain >= 0.0)
+            scale = np.where(ok, 1.0, 0.5 * scale)
+            tries = np.where(ok, 0, tries + 1)
+            if not ok.any():
+                continue
+            # every row moves to its accepted point; a refused row recomputes its own
+            out = rows[ok]
+            steps_out[out] += 1
+            gains_out[out, steps_out[out] - 1] = gain[ok]
+            left -= ok
+            offset = np.where(ok, 0.0, offset)
+            # the accepted point scaled to unit trace, which leaves l as it is
+            moved = theta + delta
+            theta = np.where(ok[:, None], moved / np.sqrt((moved ** 2).sum(axis=1))[:, None],
+                             theta)
+            b_conj, a = probabilities(u_conj, theta)
+            half = np.matmul(vecs, factor(theta))
+            rho = np.matmul(half, half.conj().transpose(0, 2, 1))
+            rho = (rho + rho.conj().transpose(0, 2, 1)) / 2.0
+            rho /= np.trace(rho, axis1=1, axis2=2).real[:, None, None]
+            rho_out[out] = rho[ok]
+            gap = np.where(ok, certificate(w, born(rho) + unobserved), gap)
+            gap_out[out] = gap[ok]
+            if ((gap > _TOL) & (left > 0)).any():
+                step = direction(u_t, u_conj, u_phase, b_conj, a, w, theta)
+    return rho_out, gap_out, steps_out, gains_out
+
+
+def _accelerated_ascent_batch(settings, c, rho, max_iterations):
     """``_accelerated_ascent`` on a (B, 36) stack of normalized weights from (B, 4, 4) starts.
 
     Each start is scaled to unit trace, as the scalar path does, and must
@@ -622,6 +797,7 @@ def _accelerated_ascent_batch(projectors_real, c, rho, max_iterations):
     gap_out = np.empty(count)
     iterations_out = np.empty(count, dtype=int)
     stop_out = np.empty(count, dtype="<U5")
+    projectors_real = settings.projectors_real
     born = functools.partial(_born_rows, projectors_real)
     gradient = functools.partial(_ratio_operators, projectors_real)
 
@@ -646,10 +822,27 @@ def _accelerated_ascent_batch(projectors_real, c, rho, max_iterations):
     step = np.full(count, _STEP_START)
     failed = np.zeros(count, dtype=int)
     halvings = np.zeros(count, dtype=int)  # failed attempts of the current iteration
-    iterations = np.zeros(count, dtype=int)  # completed iterations
+    iterations = np.zeros(count, dtype=int)  # completed iterations and Newton steps
+    handed = np.zeros(count, dtype=bool)
     # a step off the likelihood's domain yields nan, which every test below refuses
     with np.errstate(divide="ignore", invalid="ignore"):
         while True:
+            hand = np.flatnonzero(~handed & (gap <= _HANDOFF) & (gap > _TOL)
+                                  & (iterations < max_iterations))
+            if hand.size:
+                handed[hand] = True
+                rhos, gaps, steps, _ = _factor_newton(
+                    settings, w[hand], rho[hand],
+                    np.minimum(_FACTOR_STEPS, max_iterations - iterations[hand]))
+                iterations[hand] += steps
+                # from the last Newton state, the ascent starts afresh
+                moved, rhos, gaps = hand[steps > 0], rhos[steps > 0], gaps[steps > 0]
+                rho[moved] = rhos
+                p[moved] = born(rhos) + unobserved[moved]
+                r_rho[moved] = gradient(w[moved], p[moved])
+                gap[moved] = np.where(gaps <= _TOL, gaps, _gaps(r_rho[moved]))
+                sigma[moved], p_sigma[moved], r_sigma[moved] = rhos, p[moved], r_rho[moved]
+                ahead[moved], ahead_on[moved], theta[moved], failed[moved] = 0.0, False, 1.0, 0
             done = ~(gap > _TOL) | (failed == 2) | (iterations >= max_iterations)
             if done.any():
                 out = rows[done]
@@ -660,10 +853,10 @@ def _accelerated_ascent_batch(projectors_real, c, rho, max_iterations):
                                          np.where(failed[done] == 2, "floor", "cap"))
                 live = ~done
                 (rows, w, unobserved, rho, p, r_rho, gap, sigma, p_sigma, r_sigma, ahead,
-                 ahead_on, theta, step, failed, halvings, iterations) = (
+                 ahead_on, theta, step, failed, halvings, iterations, handed) = (
                     a[live] for a in (rows, w, unobserved, rho, p, r_rho, gap, sigma, p_sigma,
                                       r_sigma, ahead, ahead_on, theta, step, failed, halvings,
-                                      iterations))
+                                      iterations, handed))
             if not rows.size:
                 break
             to_cand = _projected_steps(sigma, step[:, None, None] * r_sigma)
@@ -779,7 +972,7 @@ def mle_reconstruct(frequencies, settings: TomographySettings, *,
     else:
         rho = validate_density_matrix(rho_start, name="rho_start").astype(complex)
     rho, ll, gap, iterations, stop = _accelerated_ascent(
-        settings.projectors_real, c, rho, max_iterations, on_iteration)
+        settings, c, rho, max_iterations, on_iteration)
     rho = (rho + rho.conj().T) / 2.0
     rho /= np.trace(rho).real
     return ReconstructionResult(rho=rho, log_likelihood=ll * total, iterations=iterations,
@@ -905,7 +1098,7 @@ def mle_curve(rho0: np.ndarray, eta_a: float, eta_b: float, n_bar_grid) -> list[
         raise ValueError("frequencies must not be all zero")
     weights = frequencies / totals
     rhos, gaps, _, stops = _accelerated_ascent_batch(
-        settings.projectors_real, weights, _start_states(settings, weights), _MAX_ITERATIONS)
+        settings, weights, _start_states(settings, weights), _MAX_ITERATIONS)
     failed = [(n_bar, gap, stop)
               for n_bar, gap, stop in zip(grid.tolist(), gaps.tolist(), stops.tolist())
               if not _certified(stop, gap)]

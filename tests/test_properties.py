@@ -242,7 +242,7 @@ def test_fits_certify_and_recover_the_probabilities(rho, dephased):
     weights = stack / stack.sum(axis=1, keepdims=True)
     mixed = np.eye(4, dtype=complex) / 4.0
     rhos, gaps, _, stops = tomography._accelerated_ascent_batch(
-        SETTINGS.projectors_real, weights, np.array([mixed, mixed]), 10000)
+        SETTINGS, weights, np.array([mixed, mixed]), 10000)
     singles = [mle_reconstruct(freqs, SETTINGS, rho_start=mixed) for freqs in stack]
     assert stops[1] == "gap" and singles[1].stop == "gap"
     for freqs, w, single, batched, gap, stop in zip(stack, weights, singles, rhos, gaps, stops):

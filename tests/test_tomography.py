@@ -41,8 +41,7 @@ def batch_fit(weights, starts=None, max_iterations=10000):
     ``_start_states``, the start ``mle_curve`` and ``mle_reconstruct`` use."""
     if starts is None:
         starts = tomography._start_states(SETTINGS, weights)
-    return tomography._accelerated_ascent_batch(SETTINGS.projectors_real, weights, starts,
-                                                max_iterations)
+    return tomography._accelerated_ascent_batch(SETTINGS, weights, starts, max_iterations)
 
 
 def sampled_dataset(rho0, params, n_windows, rng, tau_s=1e-9):
@@ -868,7 +867,7 @@ class TestBatchedAscent:
         _, gaps, iterations, stops = batch_fit(w[None], MIXED[None], max_iterations=100)
         assert stops.tolist() == ["cap"] and iterations.tolist() == [100]
         _, _, scalar_gap, scalar_iterations, scalar_stop = tomography._accelerated_ascent(
-            SETTINGS.projectors_real, w, MIXED, 100)
+            SETTINGS, w, MIXED, 100)
         assert (scalar_iterations, scalar_stop) == (100, "cap")
         assert gaps[0] == pytest.approx(scalar_gap, rel=1e-6)
 
@@ -1045,7 +1044,7 @@ class TestMonteCarlo:
         c = monte_carlo_uncertainty(dataset, samples=20, seed=43)
         assert c != a
 
-    @pytest.mark.parametrize("mle_kwargs", [{}, {"max_iterations": 150}])
+    @pytest.mark.parametrize("mle_kwargs", [{}, {"max_iterations": 13}])
     def test_report_matches_oracle_over_the_recorded_fits(self, dataset, monkeypatch,
                                                           mle_kwargs):
         fits = []
