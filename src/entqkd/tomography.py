@@ -22,6 +22,17 @@ their weights once, and everything below them takes normalized
 weights, so the start rule, the Newton steps and both ascents read
 this gap from one function (``_gaps``).
 
+Both ascents hand a fit to Newton steps on a Cholesky factor of the
+state once its gap is at most 1e-2 (``_HANDOFF``): rho = V L L^dagger
+V^dagger with L lower-triangular, the 16 real parameters of James,
+Kwiat, Munro & White (PRA 64, 052312, 2001), in ``_factor_newton``.  A
+fit they certify ends there with stop "gap".  They take at most 40
+steps (``_FACTOR_STEPS``), as near a rank boundary the factor converges
+only linearly, and a fit they leave uncertified goes back to the ascent
+from its hand-off state with the iterations it has left.  A fit's
+iteration count includes its Newton steps.  A Monte-Carlo sample starts
+below the hand-off gap and certifies in about 12 steps.
+
 Every fit starts from its own data by one rule (``_start_states``),
 for single fits and gain curves alike: the linear-inversion estimate
 of the quadruple-normalized frequencies, projected onto the density
@@ -59,7 +70,7 @@ from .numeric import check_range, golden_section_max
 from .spdc import (ModelPoint, SourceParams, click_probabilities, coincidence_probability,
                    coincidence_rate_exact)
 from .states import (_PAULI_TABLE_REAL, POLARIZATION_BLOCH, POLARIZATION_KETS,
-                     _pauli_components, ket_to_dm, validate_density_matrix)
+                     _pauli_components, validate_density_matrix)
 
 PROJECTION_LABELS = ("H", "V", "D", "A", "R", "L")
 
@@ -94,15 +105,15 @@ _FACTOR_STEPS = 40
 _FACTOR_FLOOR = 1e-3
 _EYE4 = np.eye(4)
 _RANKS = np.arange(1, 5)
-# the 16 real parameters of a lower-triangular 4 x 4 factor with a real diagonal: the
-# real parts of its 10 entries on and below the diagonal, then the imaginary parts of
-# the 6 below it; entry (row, column) of parameter n is times _FACTOR_PHASE[n]
-_FACTOR_ROWS, _FACTOR_COLS = (np.r_[all_, below] for all_, below
-                              in zip(np.tril_indices(4), np.tril_indices(4, -1)))
-_FACTOR_PHASE = np.r_[np.ones(10), np.full(6, 1j)]
-_FACTOR_MAP = np.zeros((16, 16), dtype=complex)  # parameters -> flattened factor
-_FACTOR_MAP[np.arange(16), 4 * _FACTOR_ROWS + _FACTOR_COLS] = _FACTOR_PHASE
-# the second derivatives of every probability couple parameters of one column only
+# a lower-triangular 4 x 4 factor with a real diagonal has 16 real parameters: the real
+# parts of its 10 entries on and below the diagonal, then the imaginary parts of the 6
+# below it.  Row n of this map is the flattened factor of parameter n alone at 1
+_FACTOR_MAP = np.r_[np.eye(16)[np.tril(np.ones((4, 4))).ravel() > 0],
+                    1j * np.eye(16)[np.tril(np.ones((4, 4)), -1).ravel() > 0]]
+# parameter n is entry (row, column) of the factor, times _FACTOR_PHASE[n]; the second
+# derivatives of every probability couple parameters of one column only
+_FACTOR_ROWS, _FACTOR_COLS = np.divmod(np.abs(_FACTOR_MAP).argmax(axis=1), 4)
+_FACTOR_PHASE = _FACTOR_MAP.sum(axis=1)
 _FACTOR_PAIRS = (2.0 * (_FACTOR_COLS[:, None] == _FACTOR_COLS)
                  * _FACTOR_PHASE.conj()[:, None] * _FACTOR_PHASE)
 
@@ -125,15 +136,13 @@ class TomographySettings:
             raise ValueError("settings must cover all 36 ordered projection pairs exactly once")
         object.__setattr__(self, "pairs", pairs)
 
-        kets = np.array([np.kron(POLARIZATION_KETS[a], POLARIZATION_KETS[b]) for a, b in pairs],
-                        dtype=complex)
-        projectors = np.empty((36, 4, 4), dtype=complex)
+        kets = np.array([np.kron(POLARIZATION_KETS[a], POLARIZATION_KETS[b]) for a, b in pairs])
+        projectors = kets[:, :, None] * kets[:, None, :].conj()
         bloch_a = np.empty((36, 3))
         bloch_b = np.empty((36, 3))
         groups = np.empty(36, dtype=int)
         axis = {"H": 0, "V": 0, "D": 1, "A": 1, "R": 2, "L": 2}
         for k, (a, b) in enumerate(pairs):
-            projectors[k] = ket_to_dm(kets[k])
             bloch_a[k] = POLARIZATION_BLOCH[a]
             bloch_b[k] = POLARIZATION_BLOCH[b]
             groups[k] = axis[a] * 3 + axis[b]
@@ -214,9 +223,11 @@ class TomographyDataset:
 class ReconstructionResult:
     """MLE state with the achieved log-likelihood and iteration diagnostics.
 
-    ``stop`` says why the ascent ended: ``"gap"`` when the certified gap
-    reached the tolerance, ``"floor"`` when two restarts in a row could
+    ``stop`` says why the fit ended: ``"gap"`` when the certified gap
+    reached the tolerance, in the ascent or in the Newton steps that
+    finish it, ``"floor"`` when two restarts in a row of the ascent could
     not raise the likelihood, ``"cap"`` at the iteration cap.
+    ``iterations`` counts the ascent's iterations and the Newton steps.
     ``converged`` is true for a gap stop, and for a floor stop whose gap
     is at most ``_FLOOR_GAP``.
     """
@@ -363,13 +374,18 @@ def _accelerated_ascent(settings, c, rho, max_iterations, on_iteration=None):
     Stops when the certified gap lambda_max(R(rho)) - 1 is at most
     ``_TOL`` (Glancy, Knill & Girard, NJP 14, 095017, 2012), or when two
     restarts in a row cannot raise the likelihood, which is the
-    floating-point floor, or at the iteration cap.  Returns (rho,
+    floating-point floor, or at the iteration cap.  The first time the
+    gap is at most ``_HANDOFF`` the fit goes to ``_factor_newton`` for at
+    most ``_FACTOR_STEPS`` of the iterations left.  If they certify it, or
+    use up the iterations, the fit ends at their state, and
+    ``on_iteration`` sees each of their steps; otherwise the ascent goes
+    on from the hand-off state with the iterations left.  Returns (rho,
     log-likelihood per unit weight, gap, iterations, stop), stop being
     ``"gap"``, ``"floor"`` or ``"cap"``.
     """
-    weights = c[None]
+    report = on_iteration or (lambda iteration, ll: None)
     observed = c > 0
-    c = c[observed]
+    weights, c = c[None], c[observed]  # the finisher takes the whole row
     basis = settings.projectors_real[observed]
 
     def born(mat):
@@ -398,17 +414,14 @@ def _accelerated_ascent(settings, c, rho, max_iterations, on_iteration=None):
                 handed = True
                 rhos, gaps, steps, gains = _factor_newton(
                     settings, weights, rho[None], min(_FACTOR_STEPS, max_iterations - iterations))
-                for gain in gains[0, :steps[0]].tolist():
-                    iterations += 1
-                    ll += gain
-                    if on_iteration is not None:
-                        on_iteration(iterations, ll)
-                if steps[0]:  # from the last Newton state, the ascent starts afresh
-                    rho, p = rhos[0], born(rhos[0])
-                    r_rho = gradient(p)
-                    gap = float(gaps[0]) if gaps[0] <= _TOL else float(_gaps(r_rho))
-                    sigma, p_sigma, r_sigma = rho, p, r_rho
-                    ahead, theta, failed_restarts = None, 1.0, 0
+                if gaps[0] <= _TOL or steps[0] == max_iterations - iterations:
+                    # certified, or out of iterations: the fit ends at the Newton state
+                    lls = np.cumsum(np.r_[ll, gains[0, :steps[0]]]).tolist()[1:]
+                    for iterations, ll in enumerate(lls, start=iterations + 1):
+                        report(iterations, ll)
+                    rho, gap = rhos[0], float(gaps[0])
+                    break
+                iterations += int(steps[0])  # the ascent goes on from the hand-off state
                 continue
             iterations += 1
             gain = -math.inf
@@ -432,8 +445,7 @@ def _accelerated_ascent(settings, c, rho, max_iterations, on_iteration=None):
                 ll += gain
                 gap = float(_gaps(r_rho))
                 step *= _STEP_GROWTH
-                if on_iteration is not None:
-                    on_iteration(iterations, ll)
+                report(iterations, ll)
             else:
                 if ahead is None:
                     failed_restarts += 1
@@ -636,59 +648,58 @@ def _factor_newton(settings: TomographySettings, w: np.ndarray, rhos: np.ndarray
     """Certify a (B, 36) stack of normalized weights by Newton steps on a factor of rho.
 
     Each row's state is written rho~ = V L L^dagger V^dagger, V being the
-    eigenvectors of its start ``rhos[i]`` in descending order and L
+    eigenvectors of its unit-trace start ``rhos[i]`` in descending order and L
     lower-triangular with a real diagonal: the 16 real parameters of
     James, Kwiat, Munro & White, PRA 64, 052312 (2001).  Every L gives a
     state, so a step needs no projection, and rank loss shows as a
-    vanishing column; L starts as the square roots of the eigenvalues,
-    floored at ``_FACTOR_FLOOR`` so that every column can grow.  The steps
-    maximize F = sum_k w_k log a_k - Tr rho~, a_k = |psi_k^dagger V L|^2,
-    whose maximizer has unit trace.  Each takes the Newton direction of F
-    from its analytic gradient and 16 x 16 Hessian; a Hessian whose
-    direction does not ascend takes |H|^-1 g from its eigensystem.  Each
-    row backtracks on its own, by halving, until F rises and the
-    log-likelihood per unit weight l of rho~ / Tr rho~ does not fall, both
-    evaluated from the change of every a_k, so they do not cancel; at most
-    ``_MAX_HALVINGS`` attempts make a step.  After every step the row's
-    certificate is ``_gaps`` of the Born product of its unit-trace state.
-    A row leaves when that gap reaches ``_TOL``, after ``max_steps`` steps
-    (an int, or one per row), or when no attempt is accepted.  Every
-    product is a 3-D ``np.matmul`` or a row-wise reduction, so each row's
-    bits do not depend on the rows beside it.
+    vanishing column.  L starts as the square roots of the eigenvalues,
+    floored at ``_FACTOR_FLOOR`` so that every column can grow, and
+    scaled to unit trace.  The steps maximize F = sum_k w_k log a_k -
+    Tr rho~, a_k = |psi_k^dagger V L|^2, whose maximizer has unit trace.
+    Each takes the Newton direction of F from its analytic gradient and
+    16 x 16 Hessian; a Hessian whose direction does not ascend takes
+    |H|^-1 g from its eigensystem.  Each row backtracks on its own, by
+    halving, until F rises and the log-likelihood per unit weight l of
+    rho~ / Tr rho~ does not fall, both evaluated from the change of every
+    a_k, so they do not cancel; at most ``_MAX_HALVINGS`` attempts make a
+    step.  The accepted point is scaled back to unit trace, which leaves
+    l as it is, so F and l rise together from every point.  After every
+    step the row's certificate is ``_gaps`` of the Born product of its
+    state, of unit trace up to roundoff.  A row leaves when that gap
+    reaches ``_TOL``, after ``max_steps`` steps (an int, or one per row),
+    or when no attempt is accepted; it is computed on, unchanged, until
+    the last row leaves.  Every product is a 3-D ``np.matmul`` or a
+    row-wise reduction, so each row's bits do not depend on the rows
+    beside it.
 
     Returns each row's last state (its start if it took no step), that
-    state's gap, the steps taken and a (B, max steps) array of each
-    step's gain in l; the first gain counts from ``rhos[i]`` itself.
+    state's gap (inf for a start), the steps taken and a (B, max steps)
+    array of each step's gain in l; the first gain counts from
+    ``rhos[i]`` itself.
     """
-    count = len(w)
-    max_steps = np.broadcast_to(max_steps, (count,))
-    rho_out = np.array(rhos, dtype=complex)
-    steps_out = np.zeros(count, dtype=int)
-    gains_out = np.zeros((count, int(max_steps.max(initial=0))))
-    projectors_real = settings.projectors_real
+    max_steps = np.broadcast_to(max_steps, len(w))
+    rho_out, gap = np.array(rhos, dtype=complex), np.full(len(w), np.inf)
+    steps, gains = np.zeros(len(w), dtype=int), np.zeros((len(w), int(max_steps.max(initial=0))))
     # the probabilities of unobserved settings are held at +inf, as in the ascent
     unobserved = np.where(w > 0.0, 0.0, np.inf)
 
-    def born(mats):
-        return np.matmul(mats.reshape(-1, 1, 16).view(np.float64), projectors_real.T)[:, 0]
-
-    def certificate(w, p):
-        ratio = np.matmul((w / p)[:, None, :], projectors_real)[:, 0]
-        return _gaps(ratio.view(complex).reshape(-1, 4, 4))
+    def born(rho):
+        return np.matmul(rho.reshape(-1, 1, 16).view(np.float64), settings.projectors_real.T)[:, 0]
 
     def factor(theta):
         return np.matmul(theta[:, None, :], _FACTOR_MAP)[:, 0].reshape(-1, 4, 4)
 
-    def probabilities(u_conj, theta):
-        b_conj = np.matmul(u_conj, factor(theta))  # row k: (L^dagger V^dagger psi_k)^*
+    def probabilities(lower):
+        b_conj = np.matmul(u_conj, lower)  # row k: (L^dagger V^dagger psi_k)^*
         return b_conj, (b_conj.real ** 2 + b_conj.imag ** 2).sum(axis=2) + unobserved
 
-    def direction(u_t, u_conj, u_phase, b_conj, a, w, theta):
+    def direction():
         ratio = w / a
-        # M - I, M = V^dagger R~ V with R~ = sum_k (w_k / a_k) Pi_k, and the gradients
-        # of the a_k: Tr rho~ adds -2 theta and -2 I, which the identity in M - I gives
-        m = np.matmul(u_t, ratio[:, :, None] * u_conj) - _EYE4
-        jac = (u_phase * b_conj[:, :, _FACTOR_COLS]).real
+        # the gradient of every a_k, and M - I with M = V^dagger R~ V, R~ = sum_k (w_k /
+        # a_k) Pi_k: Tr rho~ adds -2 theta and -2 I, which the identity in M - I gives
+        jac = 2.0 * (_FACTOR_PHASE.conj() * u[:, :, _FACTOR_ROWS]
+                     * b_conj[:, :, _FACTOR_COLS]).real
+        m = np.matmul(u.transpose(0, 2, 1), ratio[:, :, None] * u_conj) - _EYE4
         grad = np.matmul(ratio[:, None, :], jac)[:, 0] - 2.0 * theta
         neg_hess = (np.matmul(jac.transpose(0, 2, 1), (ratio / a)[:, :, None] * jac)
                     - (_FACTOR_PAIRS * m[:, _FACTOR_ROWS[:, None], _FACTOR_ROWS]).real)
@@ -700,38 +711,22 @@ def _factor_newton(settings: TomographySettings, w: np.ndarray, rhos: np.ndarray
             step[flat] = np.matmul(vecs, along[:, :, None])[:, :, 0]
         return step
 
-    rows = np.arange(count)
-    vals, vecs = np.linalg.eigh(rhos)
-    vecs = np.ascontiguousarray(vecs[:, :, ::-1])
+    vals, vecs = (x[..., ::-1] for x in np.linalg.eigh(rhos))  # in descending order
     u = np.matmul(settings._kets, vecs.conj())  # row k: V^dagger psi_k
-    u_t, u_conj = np.ascontiguousarray(u.transpose(0, 2, 1)), u.conj()
-    # the gradient of a_k along parameter n is Re(u_phase[k, n] b_conj[k, column of n])
-    u_phase = 2.0 * _FACTOR_PHASE.conj() * u[:, :, _FACTOR_ROWS]
-    theta = np.zeros((count, 16))
-    theta[:, _FACTOR_ROWS == _FACTOR_COLS] = np.maximum(
-        np.sqrt(np.maximum(vals[:, ::-1], 0.0)), _FACTOR_FLOOR)
+    u_conj = u.conj()
+    diagonal = np.maximum(np.sqrt(np.maximum(vals, 0.0)), _FACTOR_FLOOR)
+    theta = ((diagonal[:, :, None] * _EYE4).reshape(-1, 16) @ _FACTOR_MAP.conj().T).real
     theta /= np.sqrt((theta ** 2).sum(axis=1))[:, None]  # Tr rho~ = |theta|^2 = 1
-    left = max_steps.copy()
+    live, scale, tries = np.ones(len(w), dtype=bool), np.ones(len(w)), np.zeros(len(w), dtype=int)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        b_conj, a = probabilities(u_conj, theta)
-        start = rho_out / np.trace(rho_out, axis1=1, axis2=2).real[:, None, None]
-        p = born(start) + unobserved
-        gap = certificate(w, p)
-        gap_out = gap.copy()
-        # l of the floored factor less l of the start, counted in the first gain
-        offset = np.where(w > 0.0, w * np.log(a / p), 0.0).sum(axis=1)
-        step = direction(u_t, u_conj, u_phase, b_conj, a, w, theta)
-        scale, tries = np.ones(count), np.zeros(count, dtype=int)
+        b_conj, a = probabilities(factor(theta))
+        # l of the floored factor less l of the unit-trace start, counted in the first gain
+        offset = np.where(w > 0.0, w * np.log(a / born(rho_out)), 0.0).sum(axis=1)
+        step = direction()
         while True:
-            done = ((gap <= _TOL) | (left <= 0) | (tries >= _MAX_HALVINGS)
-                    | ~np.isfinite(step).all(axis=1))
-            if done.any():
-                live = ~done
-                (rows, w, unobserved, u_t, u_conj, u_phase, vecs, theta, b_conj, a, gap, offset,
-                 step, scale, tries, left) = (
-                    x[live] for x in (rows, w, unobserved, u_t, u_conj, u_phase, vecs, theta,
-                                      b_conj, a, gap, offset, step, scale, tries, left))
-            if not rows.size:
+            live &= ((gap > _TOL) & (steps < max_steps) & (tries < _MAX_HALVINGS)
+                     & np.isfinite(step).all(axis=1))
+            if not live.any():
                 break
             delta = scale[:, None] * step
             db_conj = np.matmul(u_conj, factor(delta))
@@ -739,32 +734,25 @@ def _factor_newton(settings: TomographySettings, w: np.ndarray, rhos: np.ndarray
                 (db_conj.conj() * (2.0 * b_conj + db_conj)).real.sum(axis=2) / a)).sum(axis=1)
             d_trace = ((2.0 * theta + delta) * delta).sum(axis=1)
             gain = change - np.log1p(d_trace) + offset
-            ok = (change - d_trace > 0.0) & (gain >= 0.0)
-            scale = np.where(ok, 1.0, 0.5 * scale)
-            tries = np.where(ok, 0, tries + 1)
-            if not ok.any():
-                continue
-            # every row moves to its accepted point; a refused row recomputes its own
-            out = rows[ok]
-            steps_out[out] += 1
-            gains_out[out, steps_out[out] - 1] = gain[ok]
-            left -= ok
-            offset = np.where(ok, 0.0, offset)
-            # the accepted point scaled to unit trace, which leaves l as it is
-            moved = theta + delta
-            theta = np.where(ok[:, None], moved / np.sqrt((moved ** 2).sum(axis=1))[:, None],
-                             theta)
-            b_conj, a = probabilities(u_conj, theta)
-            half = np.matmul(vecs, factor(theta))
-            rho = np.matmul(half, half.conj().transpose(0, 2, 1))
-            rho = (rho + rho.conj().transpose(0, 2, 1)) / 2.0
-            rho /= np.trace(rho, axis1=1, axis2=2).real[:, None, None]
-            rho_out[out] = rho[ok]
-            gap = np.where(ok, certificate(w, born(rho) + unobserved), gap)
-            gap_out[out] = gap[ok]
-            if ((gap > _TOL) & (left > 0)).any():
-                step = direction(u_t, u_conj, u_phase, b_conj, a, w, theta)
-    return rho_out, gap_out, steps_out, gains_out
+            ok = live & (change - d_trace > 0.0) & (gain >= 0.0)
+            scale, tries = np.where(ok, 1.0, 0.5 * scale), np.where(ok, 0, tries + 1)
+            # a row moves to its accepted point, scaled to unit trace, which leaves l as
+            # it is; the certificate is of the Born product of that state
+            steps += ok
+            gains[ok, steps[ok] - 1] = gain[ok]
+            offset[ok] = 0.0
+            theta = theta + ok[:, None] * delta
+            theta[ok] /= np.sqrt((theta[ok] ** 2).sum(axis=1))[:, None]
+            lower = factor(theta)
+            b_conj, a = probabilities(lower)
+            half = np.matmul(vecs[ok], lower[ok])
+            rho_out[ok] = np.matmul(half, half.conj().transpose(0, 2, 1))
+            ratio = w[ok] / (born(rho_out[ok]) + unobserved[ok])
+            gap[ok] = _gaps(np.matmul(ratio[:, None, :], settings.projectors_real)[:, 0]
+                            .view(complex).reshape(-1, 4, 4))
+            if (live & (gap > _TOL) & (steps < max_steps)).any():
+                step = direction()
+    return rho_out, gap, steps, gains
 
 
 def _accelerated_ascent_batch(settings, c, rho, max_iterations):
@@ -785,21 +773,24 @@ def _accelerated_ascent_batch(settings, c, rho, max_iterations):
     its positivity test and, once it is accepted, its gradient use; the
     move from the iterate and the extrapolated point of an accepted row
     get theirs as the scalar path takes them.  Zero weights drop out of
-    every sum.  A row leaves the live set at the first of the scalar
-    stops, tested at the top of every pass: a certified gap of at most
-    ``_TOL``, the floor stop or the iteration cap; the loop ends when no
-    row is left, at once for an empty stack.  Returns the symmetrized
-    unit-trace states, shape (B, 4, 4), with their gaps, completed
-    iterations and stop reasons.
+    every sum.  At the top of every pass the rows whose gap first fell to
+    ``_HANDOFF`` go to ``_factor_newton`` as one stack, each for at most
+    ``_FACTOR_STEPS`` of its iterations left, and each keeps the scalar
+    path's rule: certified or out of iterations, it ends at its Newton
+    state, and otherwise it goes on from its hand-off state.  A row then
+    leaves the live set at the first of the scalar stops: a certified gap
+    of at most ``_TOL``, the floor stop or the iteration cap; the loop
+    ends when no row is left, at once for an empty stack.  Returns the
+    symmetrized unit-trace states, shape (B, 4, 4), with their gaps,
+    iterations (Newton steps included) and stop reasons.
     """
     count = c.shape[0]
     rho_out = np.empty((count, 4, 4), dtype=complex)
     gap_out = np.empty(count)
     iterations_out = np.empty(count, dtype=int)
     stop_out = np.empty(count, dtype="<U5")
-    projectors_real = settings.projectors_real
-    born = functools.partial(_born_rows, projectors_real)
-    gradient = functools.partial(_ratio_operators, projectors_real)
+    born = functools.partial(_born_rows, settings.projectors_real)
+    gradient = functools.partial(_ratio_operators, settings.projectors_real)
 
     def row_dot(w, values):
         return np.einsum("bk,bk->b", w, values)
@@ -831,18 +822,13 @@ def _accelerated_ascent_batch(settings, c, rho, max_iterations):
                                   & (iterations < max_iterations))
             if hand.size:
                 handed[hand] = True
-                rhos, gaps, steps, _ = _factor_newton(
-                    settings, w[hand], rho[hand],
-                    np.minimum(_FACTOR_STEPS, max_iterations - iterations[hand]))
+                rhos, gaps, steps, _ = _factor_newton(settings, w[hand], rho[hand], np.minimum(
+                    _FACTOR_STEPS, max_iterations - iterations[hand]))
                 iterations[hand] += steps
-                # from the last Newton state, the ascent starts afresh
-                moved, rhos, gaps = hand[steps > 0], rhos[steps > 0], gaps[steps > 0]
-                rho[moved] = rhos
-                p[moved] = born(rhos) + unobserved[moved]
-                r_rho[moved] = gradient(w[moved], p[moved])
-                gap[moved] = np.where(gaps <= _TOL, gaps, _gaps(r_rho[moved]))
-                sigma[moved], p_sigma[moved], r_sigma[moved] = rhos, p[moved], r_rho[moved]
-                ahead[moved], ahead_on[moved], theta[moved], failed[moved] = 0.0, False, 1.0, 0
+                # a row certified or out of iterations ends at its Newton state; every
+                # other row goes on from its hand-off state
+                end = (gaps <= _TOL) | (iterations[hand] == max_iterations)
+                rho[hand[end]], gap[hand[end]] = rhos[end], gaps[end]
             done = ~(gap > _TOL) | (failed == 2) | (iterations >= max_iterations)
             if done.any():
                 out = rows[done]
@@ -926,11 +912,16 @@ def mle_reconstruct(frequencies, settings: TomographySettings, *,
                     on_iteration=None) -> ReconstructionResult:
     """Maximum-likelihood state from 36 coincidence frequencies or counts.
 
-    The ascent stops once the certified gap lambda_max(R) - 1 is at most
+    The fit stops once the certified gap lambda_max(R) - 1 is at most
     1e-10; it bounds the log-likelihood per unit weight still to be
-    gained.  Ascents that reach the floating-point floor first (two
-    restarts in a row that cannot raise the likelihood) stop with
-    ``stop="floor"`` and count as converged only at a gap of at most 1e-8.
+    gained.  The projected ascent hands the fit to Newton steps on a
+    Cholesky factor of the state once the gap is at most 1e-2, and they
+    certify nearly every fit in a few to a few tens of steps.  They take
+    at most 40; a fit they leave uncertified goes back to the ascent from
+    its hand-off state, with the iterations it has left.  Ascents that
+    reach the floating-point floor first (two restarts in a row that
+    cannot raise the likelihood) stop with ``stop="floor"`` and count as
+    converged only at a gap of at most 1e-8.
 
     Parameters
     ----------
@@ -941,8 +932,9 @@ def mle_reconstruct(frequencies, settings: TomographySettings, *,
         counts lose none unless they sum to more than 1e13.  The
         parameters after ``settings`` are keyword-only.
     max_iterations : int
-        Iteration cap; hitting it returns the best iterate with
-        ``stop="cap"`` and ``converged=False``.
+        Cap on the ascent's iterations and the Newton steps together;
+        hitting it returns the best iterate with ``stop="cap"`` and
+        ``converged=False``.
     rho_start : array_like, optional
         Starting state.  It must give every setting with a nonzero
         frequency a positive probability, and it replaces the whole
@@ -954,14 +946,17 @@ def mle_reconstruct(frequencies, settings: TomographySettings, *,
         exact frequencies of a state, certifies at 0 iterations.
     on_iteration : callable, optional
         Called as ``on_iteration(iteration, log_likelihood)`` after every
-        accepted update (likelihoods are per unit weight, nondecreasing).
+        accepted update of the ascent and after each Newton step of a
+        finish that ends the fit (likelihoods are per unit weight,
+        nondecreasing).
 
     Returns
     -------
     ReconstructionResult
         ``log_likelihood`` is reported on the scale of the input
-        frequencies; ``gap`` is lambda_max(R) - 1 at the returned state
-        and ``stop`` the reason the ascent ended.
+        frequencies; ``gap`` is lambda_max(R) - 1 at the returned state,
+        ``iterations`` counts ascent iterations and Newton steps, and
+        ``stop`` is the reason the fit ended.
     """
     c = _kept_weights(_check_frequencies(frequencies))
     total = c.sum()
@@ -1031,9 +1026,11 @@ def monte_carlo_uncertainty(ds: TomographyDataset, samples: int, seed: int) -> U
     key rates of all rows follow in one array step.  Reconstructions
     start from the base dataset's estimate softened with a small
     admixture of the maximally mixed state; any full-rank start reaches
-    the same maximizer.  Every fit runs with ``mle_reconstruct``'s
-    default options; unconverged sample fits are counted in the report
-    and kept in its statistics.
+    the same maximizer, and this one is within the hand-off gap of every
+    sample (about 2e-3 on the criterion-12 dataset), so a sample fit is
+    Newton steps on the factor of its state from the start.  Every fit
+    runs with ``mle_reconstruct``'s default options; unconverged sample
+    fits are counted in the report and kept in its statistics.
     """
     if samples < 2:
         raise ValueError(f"need at least 2 Monte-Carlo samples, got {samples}")
@@ -1073,7 +1070,9 @@ def mle_curve(rho0: np.ndarray, eta_a: float, eta_b: float, n_bar_grid) -> list[
     start from the estimate mixed with a little of I/4, from which
     batched full Newton steps certify the points whose optimum is
     interior, and the ascent stops those at 0 iterations; the ascent
-    fits every other point from its mixed start.  Frequencies at most
+    fits every other point from its mixed start, down to the hand-off
+    gap, where Newton steps on the factor of the state finish it.
+    Frequencies at most
     1e-13 of their point's largest count as 0.  A point whose fit does not
     converge raises ``ConvergenceError``, so no uncertified point is
     returned.  The fitted states are evaluated as one stack, without

@@ -304,6 +304,31 @@ def test_newton_phase_certifies_or_keeps_the_start(w):
             assert helpers.likelihood_gap(row_w, rho) <= 1e-10 + helpers.GAP_ROUNDOFF
 
 
+@settings(derandomize=True, deadline=None, max_examples=40, database=None)
+@given(rows=st.lists(st.tuples(mixed_states(), mixed_states(), st.integers(0, 12)),
+                     min_size=1, max_size=5),
+       data=st.data())
+def test_factor_newton_rows_do_not_depend_on_their_stack(rows, data):
+    # the Born weights of a state of rank 1 to 4 (exact zeros included), from another
+    # state mixed with I/4, with a step cap per row: any subset of the rows, fitted
+    # alone or as a stack in any order, gives the same bits as inside the whole stack
+    w = np.array([np.maximum(SETTINGS.born_probabilities(target), 0.0) for target, _, _ in rows])
+    w /= w.sum(axis=1, keepdims=True)
+    starts = np.array([0.9 * start + 0.025 * np.eye(4) for _, start, _ in rows])
+    caps = np.array([cap for _, _, cap in rows])
+    order = data.draw(st.permutations(range(len(rows))))
+    subset = np.array(order[:data.draw(st.integers(1, len(rows)))])
+    whole = tomography._factor_newton(SETTINGS, w, starts, caps)
+    stacked = tomography._factor_newton(SETTINGS, w[subset], starts[subset], caps[subset])
+    for k, row in enumerate(subset):
+        alone = tomography._factor_newton(SETTINGS, w[[row]], starts[[row]], caps[[row]])
+        for fit, i in ((stacked, k), (alone, 0)):
+            rho, gap, steps, gains = (out[i] for out in fit)
+            assert np.array_equal(rho, whole[0][row]) and np.array_equal(gap, whole[1][row])
+            assert steps == whole[2][row]
+            assert np.array_equal(gains[:steps], whole[3][row][:steps]) and not gains[steps:].any()
+
+
 @PROPERTY
 @given(counts=st.lists(st.lists(st.integers(0, 10 ** 13 // 36), min_size=36, max_size=36),
                        min_size=1, max_size=3))

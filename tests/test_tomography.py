@@ -44,6 +44,24 @@ def batch_fit(weights, starts=None, max_iterations=10000):
     return tomography._accelerated_ascent_batch(SETTINGS, weights, starts, max_iterations)
 
 
+def criterion12_counts():
+    """The criterion-12 dataset: Werner state of S = 2.815 at n_bar = 0.01, eta = 0.16,
+    5e7 windows of 1 ns, Poisson counts drawn with seed 1212."""
+    rho0 = werner_mix(PHI_PLUS, 1.0 - 2.815 / TSIRELSON)
+    return np.random.default_rng(1212).poisson(
+        synthesize_frequencies(rho0, SourceParams(0.01, 0.16, 0.16), SETTINGS) * 5.0e7)
+
+
+def criterion12_resamples(indices, seed=99):
+    """The criterion-12 resamples ``monte_carlo_uncertainty`` draws at these indices for
+    ``seed``, and the warm start its sample fits take."""
+    counts = criterion12_counts().astype(float)
+    streams = np.random.SeedSequence(seed).spawn(max(indices) + 1)
+    resamples = np.array([np.random.default_rng(streams[i]).poisson(counts) for i in indices],
+                         dtype=float)
+    return resamples, 0.99 * mle_reconstruct(counts, SETTINGS).rho + 0.01 * MIXED
+
+
 def sampled_dataset(rho0, params, n_windows, rng, tau_s=1e-9):
     freqs = synthesize_frequencies(rho0, params, SETTINGS)
     counts = rng.poisson(freqs * n_windows)
@@ -221,12 +239,8 @@ class TestCertificate:
     def test_monte_carlo_fits_certify(self, monkeypatch):
         # the criterion-12 dataset: both fits of the data and every sample
         import entqkd.tomography as tomo
-        params = SourceParams(0.01, 0.16, 0.16)
-        rho0 = werner_mix(PHI_PLUS, 1.0 - 2.815 / TSIRELSON)
         n_windows = 5.0e7
-        counts = np.random.default_rng(1212).poisson(
-            synthesize_frequencies(rho0, params, SETTINGS) * n_windows)
-        ds = make_dataset(counts, tau_s=1e-9, duration_s=1e-9 * n_windows)
+        ds = make_dataset(criterion12_counts(), tau_s=1e-9, duration_s=1e-9 * n_windows)
         fits = []
         real = tomo.mle_reconstruct
 
@@ -243,6 +257,10 @@ class TestCertificate:
             assert result.converged
             assert result.iterations <= 500
             assert helpers.likelihood_gap(freqs, result.rho) <= 1e-6
+        # the warm start puts every sample below the hand-off gap, and Newton steps on
+        # the factor certify the median sample in about 12 steps; the ascent alone
+        # took about 139 iterations
+        assert statistics.median(result.iterations for _, result in fits[1:]) <= 30
 
     def test_zero_probability_start_rejected(self):
         counts = SETTINGS.born_probabilities(werner_mix(PHI_PLUS, 0.1))
@@ -820,6 +838,96 @@ class TestInteriorNewton:
         a = np.array([np.zeros((3, 3)), np.diag([2.0, 4.0, 8.0]), np.ones((3, 3))])
         x = tomography._solve_rows(a, np.ones((3, 3)))
         assert np.all(np.isnan(x[[0, 2]])) and x[1].tolist() == [0.5, 0.25, 0.125]
+
+
+class TestFactorNewton:
+    """Newton steps on a Cholesky factor finish the fits that reach the hand-off gap."""
+
+    def test_certified_rows_carry_the_certificate(self):
+        # criterion-12 resamples from the Monte-Carlo's warm start: a row the finisher
+        # certifies has a gap of at most 1e-10, and the oracle reads the same gap
+        resamples, warm = criterion12_resamples(range(40))
+        w = resamples / resamples.sum(axis=1, keepdims=True)
+        rhos, gaps, steps, gains = tomography._factor_newton(
+            SETTINGS, w, np.repeat(warm[None], len(w), axis=0), tomography._FACTOR_STEPS)
+        certified = gaps <= 1e-10
+        assert certified.sum() >= 38 and steps.max() <= tomography._FACTOR_STEPS
+        assert np.all(gains >= 0.0)
+        for freqs, rho, gap in zip(resamples[certified], rhos[certified], gaps[certified]):
+            validate_density_matrix(rho)
+            assert helpers.likelihood_gap(freqs, rho) == pytest.approx(
+                gap, abs=helpers.GAP_ROUNDOFF)
+
+    def test_log_likelihood_is_the_fitted_states(self):
+        # the ascent adds up its gains and the finisher's, the first counted from the
+        # hand-off state itself: the total is the likelihood of the returned state
+        resamples, warm = criterion12_resamples([0, 1])
+        fits = [mle_reconstruct(resamples[0], SETTINGS, rho_start=warm),
+                mle_reconstruct(resamples[1], SETTINGS)]
+        for freqs, rec in zip(resamples, fits):
+            assert rec.stop == "gap" and rec.iterations > 0
+            direct = freqs @ np.log(SETTINGS.born_probabilities(rec.rho))
+            assert rec.log_likelihood == pytest.approx(direct, rel=1e-12)
+
+    def test_fallback_without_newton_steps(self, monkeypatch):
+        # with no Newton step allowed every sample fit goes on through the ascent from
+        # its hand-off state, which still converges, at the finisher's optimum
+        resamples, warm = criterion12_resamples(range(20))
+        newton = [mle_reconstruct(counts, SETTINGS, rho_start=warm) for counts in resamples]
+        monkeypatch.setattr(tomography, "_FACTOR_STEPS", 0)
+        ascent = [mle_reconstruct(counts, SETTINGS, rho_start=warm) for counts in resamples]
+        assert all(rec.stop == "gap" for rec in newton)
+        assert all(rec.converged for rec in ascent)
+        assert min(rec.iterations for rec in ascent) > max(rec.iterations for rec in newton)
+        for a, b in zip(newton, ascent):
+            assert np.max(np.abs(a.rho - b.rho)) <= 1e-8
+
+    def test_stalled_row_leaves_after_the_cap(self):
+        # sample 1819 of SeedSequence(99) on the criterion-12 dataset has its optimum near
+        # a rank boundary, where the factor converges only linearly: the finisher stops
+        # after its cap, and the ascent finishes the fit from the hand-off state.  The
+        # alarm turns a fit that never returns into a failure, not a stalled suite
+        resamples, warm = criterion12_resamples([1819])
+        w = resamples / resamples.sum()
+
+        def hung(signum, frame):
+            raise TimeoutError("the stalled fit did not return within 10 s")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.setitimer(signal.ITIMER_REAL, 10.0)
+        try:
+            _, gaps, steps, _ = tomography._factor_newton(SETTINGS, w, warm[None],
+                                                          tomography._FACTOR_STEPS)
+            rec = mle_reconstruct(resamples[0], SETTINGS, rho_start=warm)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
+            signal.signal(signal.SIGALRM, previous)
+        assert steps.tolist() == [tomography._FACTOR_STEPS] and gaps[0] > 1e-10
+        assert rec.converged and rec.iterations > tomography._FACTOR_STEPS
+        assert helpers.likelihood_gap(resamples[0], rec.rho) <= 1e-8 + helpers.GAP_ROUNDOFF
+
+    def test_poisson_counts_of_random_states_certify(self, monkeypatch):
+        # 300 to 1e5 counts of random states of rank 1 to 4: every fit certifies, and
+        # the finisher certifies nearly every row handed to it
+        handed = []
+        real = tomography._factor_newton
+
+        def recorded(settings, w, rhos, max_steps):
+            out = real(settings, w, rhos, max_steps)
+            handed.extend(out[1] <= 1e-10)
+            return out
+
+        monkeypatch.setattr(tomography, "_factor_newton", recorded)
+        rng = np.random.default_rng(2026)
+        for total in (300, 3000, 1e5):
+            for rank in (1, 2, 3, 4):
+                for _ in range(25):
+                    born = SETTINGS.born_probabilities(helpers.random_density_matrix(rng, rank))
+                    counts = rng.poisson(total / 9.0 * np.maximum(born, 0.0)).astype(float)
+                    rec = mle_reconstruct(counts, SETTINGS)
+                    assert rec.converged and rec.stop == "gap"
+                    assert helpers.likelihood_gap(counts, rec.rho) <= CERTIFIED
+        assert len(handed) >= 200 and np.mean(handed) >= 0.98
 
 
 class TestBatchedAscent:
