@@ -694,7 +694,7 @@ def _factor_newton(settings: TomographySettings, w: np.ndarray, rhos: np.ndarray
         return b_conj, (b_conj.real ** 2 + b_conj.imag ** 2).sum(axis=2) + unobserved
 
     def direction():
-        ratio = w / a
+        ratio, u = w / a, u_conj.conj()
         # the gradient of every a_k, and M - I with M = V^dagger R~ V, R~ = sum_k (w_k /
         # a_k) Pi_k: Tr rho~ adds -2 theta and -2 I, which the identity in M - I gives
         jac = 2.0 * (_FACTOR_PHASE.conj() * u[:, :, _FACTOR_ROWS]
@@ -712,8 +712,7 @@ def _factor_newton(settings: TomographySettings, w: np.ndarray, rhos: np.ndarray
         return step
 
     vals, vecs = (x[..., ::-1] for x in np.linalg.eigh(rhos))  # in descending order
-    u = np.matmul(settings._kets, vecs.conj())  # row k: V^dagger psi_k
-    u_conj = u.conj()
+    u_conj = np.matmul(settings._kets.conj(), vecs)  # row k: (V^dagger psi_k)^*
     diagonal = np.maximum(np.sqrt(np.maximum(vals, 0.0)), _FACTOR_FLOOR)
     theta = ((diagonal[:, :, None] * _EYE4).reshape(-1, 16) @ _FACTOR_MAP.conj().T).real
     theta /= np.sqrt((theta ** 2).sum(axis=1))[:, None]  # Tr rho~ = |theta|^2 = 1
@@ -736,22 +735,21 @@ def _factor_newton(settings: TomographySettings, w: np.ndarray, rhos: np.ndarray
             gain = change - np.log1p(d_trace) + offset
             ok = live & (change - d_trace > 0.0) & (gain >= 0.0)
             scale, tries = np.where(ok, 1.0, 0.5 * scale), np.where(ok, 0, tries + 1)
-            # a row moves to its accepted point, scaled to unit trace, which leaves l as
-            # it is; the certificate is of the Born product of that state
-            steps += ok
-            gains[ok, steps[ok] - 1] = gain[ok]
-            offset[ok] = 0.0
-            theta = theta + ok[:, None] * delta
-            theta[ok] /= np.sqrt((theta[ok] ** 2).sum(axis=1))[:, None]
-            lower = factor(theta)
-            b_conj, a = probabilities(lower)
-            half = np.matmul(vecs[ok], lower[ok])
-            rho_out[ok] = np.matmul(half, half.conj().transpose(0, 2, 1))
-            ratio = w[ok] / (born(rho_out[ok]) + unobserved[ok])
-            gap[ok] = _gaps(np.matmul(ratio[:, None, :], settings.projectors_real)[:, 0]
-                            .view(complex).reshape(-1, 4, 4))
-            if (live & (gap > _TOL) & (steps < max_steps)).any():
-                step = direction()
+            if ok.any():  # the accepted points, scaled to unit trace, which leaves l as it is
+                steps += ok
+                gains[ok, steps[ok] - 1] = gain[ok]
+                offset[ok] = 0.0
+                theta = theta + ok[:, None] * delta
+                theta[ok] /= np.sqrt((theta[ok] ** 2).sum(axis=1))[:, None]
+                lower = factor(theta)
+                b_conj, a = probabilities(lower)
+                half = np.matmul(vecs[ok], lower[ok])
+                rho_out[ok] = np.matmul(half, half.conj().transpose(0, 2, 1))
+                ratio = w[ok] / (born(rho_out[ok]) + unobserved[ok])
+                gap[ok] = _gaps(np.matmul(ratio[:, None, :], settings.projectors_real)[:, 0]
+                                .view(complex).reshape(-1, 4, 4))
+                if (live & (gap > _TOL) & (steps < max_steps)).any():
+                    step = direction()
     return rho_out, gap, steps, gains
 
 
