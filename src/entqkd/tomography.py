@@ -101,7 +101,8 @@ _HANDOFF = 1e-2
 #: Newton steps ``_factor_newton`` takes at most: near a rank boundary the factor
 #: converges only linearly, and the ascent finishes the few rows that do not certify
 _FACTOR_STEPS = 40
-#: the factor's starting diagonal is at least this, as a zero column never grows back
+#: the factor's starting diagonal is at least this: a zero column never grows back, and
+#: a tiny one only doubles per step
 _FACTOR_FLOOR = 1e-3
 _EYE4 = np.eye(4)
 _RANKS = np.arange(1, 5)

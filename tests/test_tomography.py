@@ -858,15 +858,18 @@ class TestFactorNewton:
             assert helpers.likelihood_gap(freqs, rho) == pytest.approx(
                 gap, abs=helpers.GAP_ROUNDOFF)
 
-    def test_log_likelihood_is_the_fitted_states(self):
-        # the ascent adds up its gains and the finisher's, the first counted from the
-        # hand-off state itself: the total is the likelihood of the returned state
-        resamples, warm = criterion12_resamples([0, 1])
-        fits = [mle_reconstruct(resamples[0], SETTINGS, rho_start=warm),
-                mle_reconstruct(resamples[1], SETTINGS)]
-        for freqs, rec in zip(resamples, fits):
-            assert rec.stop == "gap" and rec.iterations > 0
-            direct = freqs @ np.log(SETTINGS.born_probabilities(rec.rho))
+    def test_log_likelihood_is_the_fitted_states(self, rng):
+        # Poisson counts of states of rank 1 to 3 from I/4: the ascent hands over states
+        # with eigenvalues at 0, which the factor's floor raises.  The fit adds up the
+        # ascent's gains and the finisher's, the first counted from the hand-off state
+        # itself, so the total is the likelihood of the returned state
+        for k in range(6):
+            counts = rng.poisson(3000 * SETTINGS.born_probabilities(
+                helpers.random_density_matrix(rng, rank=1 + k % 3))).astype(float)
+            rec = mle_reconstruct(counts, SETTINGS, rho_start=MIXED)
+            assert rec.stop == "gap"
+            observed = counts > 0
+            direct = counts[observed] @ np.log(SETTINGS.born_probabilities(rec.rho)[observed])
             assert rec.log_likelihood == pytest.approx(direct, rel=1e-12)
 
     def test_fallback_without_newton_steps(self, monkeypatch):
