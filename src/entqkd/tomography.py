@@ -1068,10 +1068,11 @@ def mle_curve(rho0: np.ndarray, eta_a: float, eta_b: float, n_bar_grid) -> list[
     reproduces start at their maximizer and certify at once; the others
     start from the estimate mixed with a little of I/4, from which
     batched full Newton steps certify the points whose optimum is
-    interior, and the ascent stops those at 0 iterations; the ascent
-    fits every other point from its mixed start, down to the hand-off
-    gap, where Newton steps on the factor of the state finish it.
-    Frequencies at most
+    interior, and the ascent stops those at 0 iterations; every other
+    point goes to the ascent, which hands it to Newton steps on the
+    factor of the state once its gap is at most the hand-off gap (a
+    point whose mixed start is already there, as on a pure state's
+    curve, is certified by those steps alone).  Frequencies at most
     1e-13 of their point's largest count as 0.  A point whose fit does not
     converge raises ``ConvergenceError``, so no uncertified point is
     returned.  The fitted states are evaluated as one stack, without
